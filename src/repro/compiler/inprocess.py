@@ -41,6 +41,7 @@ from repro.dag.graph import TransductionDAG, VertexKind
 from repro.dag.typecheck import typecheck_dag
 from repro.operators.base import Event
 from repro.operators.merge import Merge
+from repro.storm.recovery import split_epochs
 
 
 class InProcessPipeline:
@@ -155,30 +156,36 @@ class InProcessPipeline:
         for name, length in snapshot["outputs"].items():
             del self._outputs[name][length:]
 
+    def push_block(self, source: str, events: Sequence[Event]) -> None:
+        """Consume a block of events at this pipeline's granularity:
+        :meth:`push_batch` when compiled ``batched``, else :meth:`push`
+        per event."""
+        if self._batched:
+            self.push_batch(source, events)
+        else:
+            for event in events:
+                self.push(source, event)
+
     def run(
         self, source_events: Dict[str, Sequence[Event]]
     ) -> Dict[str, List[Event]]:
         """Batch evaluation over whole streams, draining fully.
 
-        Batched pipelines move each source's stream as one block;
-        event-at-a-time pipelines interleave the sources round-robin,
-        dropping a source from the rotation once its stream is
-        exhausted.
+        Each source's stream is cut into marker-terminated epoch blocks
+        and the sources advance in rounds of one block each, so an
+        implicit merge holds about one epoch per channel, never a whole
+        stream.  A source drops out of the rotation once its blocks run
+        out.
         """
-        if self._batched:
-            for name, events in source_events.items():
-                self.push_batch(name, events)
-            return {name: self.outputs(name) for name in self._outputs}
-        cursors = [(name, iter(events)) for name, events in source_events.items()]
-        while cursors:
-            alive = []
-            for name, iterator in cursors:
-                event = next(iterator, _EXHAUSTED)
-                if event is _EXHAUSTED:
-                    continue
-                self.push(name, event)
-                alive.append((name, iterator))
-            cursors = alive
+        blocks = [
+            (name, split_epochs(events))
+            for name, events in source_events.items()
+        ]
+        rounds = max((len(source_blocks) for _, source_blocks in blocks), default=0)
+        for epoch in range(rounds):
+            for name, source_blocks in blocks:
+                if epoch < len(source_blocks):
+                    self.push_block(name, source_blocks[epoch])
         return {name: self.outputs(name) for name in self._outputs}
 
     # ------------------------------------------------------------------
@@ -272,13 +279,6 @@ class InProcessPipeline:
             )
             for out_edge in self._dag.out_edges(vertex):
                 work.append((out_edge.edge_id, outputs))
-
-
-class _Exhausted:
-    """Sentinel marking a drained source iterator in ``run``."""
-
-
-_EXHAUSTED = _Exhausted()
 
 
 def compile_inprocess(

@@ -58,6 +58,10 @@ class BatchingOptions:
         default_factory=dict
     )
 
+    def __post_init__(self):
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+
     @classmethod
     def for_compiled(
         cls,

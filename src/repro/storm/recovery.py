@@ -227,13 +227,6 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
     stats.checkpoints_taken += 1
     furthest = -1  # highest epoch index ever fully pushed
 
-    def push_block(name: str, block: List[Any]) -> None:
-        if batched:
-            pipe.push_batch(name, block)
-        else:
-            for event in block:
-                pipe.push(name, event)
-
     epoch = 0
     while epoch < n_epochs:
         if pending_crashes and pending_crashes[0] == epoch:
@@ -242,7 +235,7 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
                 if epoch < len(source_blocks):
                     block = source_blocks[epoch]
                     prefix = block[: int(len(block) * crash_fraction)]
-                    push_block(name, prefix)
+                    pipe.push_block(name, prefix)
                     # The prefix is thrown away with the rollback and
                     # delivered again when this epoch re-runs.
                     stats.replayed_events += len(prefix)
@@ -256,7 +249,7 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
                 block = source_blocks[epoch]
                 if epoch <= furthest:
                     stats.replayed_events += len(block)
-                push_block(name, block)
+                pipe.push_block(name, block)
         furthest = max(furthest, epoch)
         if (epoch + 1) % checkpoint_every == 0:
             checkpoint = pipe.snapshot()

@@ -5,9 +5,10 @@ time is simulated.  The model:
 
 - every machine has ``cores`` cores; a core executes one tuple at a time;
 - every task (component instance) is single-threaded: its tuples are
-  processed serially in arrival order;
-- processing a tuple costs ``framework_overhead + cpu_cost(component,
-  event)`` seconds on a core;
+  processed serially in arrival order, one tuple (or, with
+  micro-batching, one epoch-capped batch) per execution;
+- an execution costs one ``framework_overhead`` plus ``cpu_cost(component,
+  event)`` per tuple, in seconds on a core;
 - a tuple emitted at time *t* arrives at a consumer task at
   ``t + network_delay(src_machine, dst_machine)``, with seeded jitter on
   remote hops — jitter (plus shuffle-grouping randomness) is the source
@@ -44,10 +45,6 @@ from repro.storm.recovery import CheckpointStore, RecoveryOptions, RecoveryStats
 from repro.storm.topology import CaptureBolt, OutputCollector, Spout, Topology
 from repro.obs import ObsContext
 from repro.storm.tuples import StormTuple
-
-#: Shared placeholder for runs that skip the per-member cost breakdown
-#: (monitors-only instrumentation); never mutated.
-_NO_BREAKDOWN: List[Tuple[str, float, int]] = []
 
 TaskKey = Tuple[str, int]
 
@@ -175,14 +172,14 @@ class _TaskRuntime:
         self.batchable = False
         self.combiners: Dict[str, Dict[Any, Any]] = {}
         # Fault-tolerance bookkeeping (see repro.storm.recovery):
-        # lifetime invocation count, pending injected crash threshold,
-        # last sealed epoch timestamp, the spout's emission log for
-        # replay, the replay cursor into it (None = live), and whether a
-        # plain single-channel bolt snapshots on each executed marker.
-        self.executions = 0
-        # Pending injected-crash thresholds (lifetime execution counts,
-        # ascending); each fires once and is consumed.
+        # pending injected-crash thresholds (lifetime execution counts,
+        # ascending; each fires once and is consumed) and the execution
+        # count they are compared with, last sealed epoch timestamp, the
+        # spout's emission log for replay, the replay cursor into it
+        # (None = live), and whether a plain single-channel bolt
+        # snapshots on each executed marker.
         self.crash_after: List[int] = []
+        self.executions = 0
         self.last_marker: Any = None
         self.emit_log: Optional[List[Event]] = None
         self.replay_cursor: Optional[int] = None
@@ -300,9 +297,8 @@ class Simulator:
         faults = self.faults
         recovery = self.recovery
         recovery_on = recovery is not None
-        ft_on = faults is not None or recovery_on
         fault_rng = random.Random(faults.seed) if faults is not None else None
-        stats = RecoveryStats() if ft_on else None
+        stats = RecoveryStats() if faults is not None or recovery_on else None
         edge_faults_map: Dict[Tuple[str, str], Any] = {}
         if faults is not None:
             for crash in faults.crashes:
@@ -538,6 +534,16 @@ class Simulator:
                 raise task_failure(runtime, RuntimeError(detail))
             recover_all(now, detail)
 
+        def crashes_now(runtime: _TaskRuntime, now: float) -> bool:
+            """Count one execution of a task with pending crash
+            thresholds; fire the next threshold once it is passed."""
+            runtime.executions += 1
+            if runtime.executions <= runtime.crash_after[0]:
+                return False
+            runtime.crash_after.pop(0)  # each threshold fires once
+            fail_task((runtime.component, runtime.index), now, "injected crash")
+            return True
+
         def recover_all(now: float, detail: str) -> None:
             """Global rollback to the last complete epoch snapshot.
 
@@ -635,116 +641,58 @@ class Simulator:
                 )
             recover_all(now, f"machine {fault.machine} fault")
 
-        def begin_processing(runtime: _TaskRuntime, ready_time: float) -> float:
-            """Account core + task availability; return the start time.
-
-            Used by the spout path, whose emissions are self-paced (the
-            ready time *is* when the task wants the core, so reserving
-            at pop time is accurate)."""
-            start = max(ready_time, runtime.free_at)
-            cores = core_free.get(runtime.machine)
-            if cores is not None:
-                earliest = heapq.heappop(cores)
-                start = max(start, earliest)
-            return start
-
-        def finish_processing(runtime: _TaskRuntime, finish: float) -> None:
-            runtime.free_at = finish
-            cores = core_free.get(runtime.machine)
-            if cores is not None:
-                heapq.heappush(cores, finish)
-
-        def execution_cost(runtime: _TaskRuntime, tup: StormTuple, remote: bool) -> float:
-            cost = self.cost_model.framework_overhead
-            if remote:
-                cost += self.cost_model.remote_cpu
-            payload = runtime.payload
-            if hasattr(payload, "cost_events"):
-                # Compiled bolts report per-vertex work, so cardinality
-                # changes inside a fused chain are charged faithfully.
-                cost += self.cost_model.glue_cost(runtime.component, tup.event)
-                for vertex, events in payload.cost_events(runtime.state):
-                    for event in events:
-                        cost += self.cost_model.vertex_cost(
-                            vertex, event, runtime.index
-                        )
-            else:
-                cost += self.cost_model.cpu_cost(
-                    runtime.component, tup.event, runtime.index
-                )
-            return cost
-
-        def execution_cost_detailed(
-            runtime: _TaskRuntime, tup: StormTuple, remote: bool,
-            breakdown: List[Tuple[str, float, int]],
+        def execution_cost(
+            runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]],
+            breakdown: Optional[List[Tuple[str, float, int]]] = None,
         ) -> float:
-            """`execution_cost` with a per-member cost breakdown.
+            """Simulated CPU seconds of one execution: a tuple or a batch.
 
-            Kept separate so the uninstrumented hot path stays exactly
-            as cheap as before.  ``breakdown`` receives
-            ``(member label, cost seconds, events consumed)`` rows."""
-            cost = self.cost_model.framework_overhead
-            if remote:
-                cost += self.cost_model.remote_cpu
-            payload = runtime.payload
-            if hasattr(payload, "cost_events"):
-                glue = self.cost_model.glue_cost(runtime.component, tup.event)
-                cost += glue
-                breakdown.append(("glue", glue, 1))
-                for vertex, events in payload.cost_events(runtime.state):
-                    vertex_total = 0.0
-                    for event in events:
-                        vertex_total += self.cost_model.vertex_cost(
-                            vertex, event, runtime.index
-                        )
-                    cost += vertex_total
-                    breakdown.append((vertex, vertex_total, len(events)))
-            else:
-                cpu = self.cost_model.cpu_cost(
-                    runtime.component, tup.event, runtime.index
+            The per-invocation framework overhead is paid once per
+            execution — that is the entire point of micro-batching —
+            while the per-tuple charges (remote deserialization, glue or
+            ``cpu_cost``) and the per-vertex work reported by compiled
+            bolts' ``cost_events`` do not depend on the batch size, so a
+            batch's simulated speedup comes only from amortized overhead,
+            never from dropped work.  Compiled bolts report per-vertex
+            work, so cardinality changes inside a fused chain are charged
+            faithfully.
+
+            Instrumented runs pass ``breakdown``, which receives
+            ``(member label, cost seconds, events consumed)`` rows; the
+            total is summed in the same order either way."""
+            model = self.cost_model
+            component, index = runtime.component, runtime.index
+            compiled = hasattr(runtime.payload, "cost_events")
+            cost = model.framework_overhead
+            member = 0.0
+            for tup, remote in batch:
+                if remote:
+                    cost += model.remote_cpu
+                if compiled:
+                    charge = model.glue_cost(component, tup.event)
+                else:
+                    charge = model.cpu_cost(component, tup.event, index)
+                cost += charge
+                member += charge
+            if breakdown is not None:
+                breakdown.append(
+                    ("glue" if compiled else component, member, len(batch))
                 )
-                cost += cpu
-                breakdown.append((runtime.component, cpu, 1))
-            return cost
-
-        def execution_cost_batch(
-            runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]]
-        ) -> float:
-            """Cost of one micro-batch execution.
-
-            The per-invocation framework overhead is paid once for the
-            whole batch — that is the entire point of micro-batching —
-            while the per-tuple charges (remote deserialization, glue,
-            per-vertex CPU) are identical to the serial path, so the
-            simulated speedup comes only from amortized overhead, never
-            from dropped work."""
-            cost = self.cost_model.framework_overhead
-            payload = runtime.payload
-            if hasattr(payload, "cost_events"):
-                for tup, was_remote in batch:
-                    if was_remote:
-                        cost += self.cost_model.remote_cpu
-                    cost += self.cost_model.glue_cost(
-                        runtime.component, tup.event
-                    )
-                for vertex, events in payload.cost_events(runtime.state):
+            if compiled:
+                for vertex, events in runtime.payload.cost_events(runtime.state):
+                    member = 0.0
                     for event in events:
-                        cost += self.cost_model.vertex_cost(
-                            vertex, event, runtime.index
-                        )
-            else:
-                for tup, was_remote in batch:
-                    if was_remote:
-                        cost += self.cost_model.remote_cpu
-                    cost += self.cost_model.cpu_cost(
-                        runtime.component, tup.event, runtime.index
-                    )
+                        charge = model.vertex_cost(vertex, event, index)
+                        cost += charge
+                        member += charge
+                    if breakdown is not None:
+                        breakdown.append((vertex, member, len(events)))
             return cost
 
         def record_execution(
             runtime: _TaskRuntime, tup: StormTuple, start: float,
             finish: float, cost: float,
-            breakdown: List[Tuple[str, float, int]], fanout: int,
+            breakdown: Optional[List[Tuple[str, float, int]]], fanout: int,
             hooks: Any, pre_markers: Optional[int],
         ) -> None:
             """Trace/measure one bolt execution (instrumented runs only)."""
@@ -840,28 +788,35 @@ class Simulator:
                     )
 
         def maybe_start(runtime: _TaskRuntime, now: float) -> None:
-            """Begin the task's next queued tuple if it is idle.
+            """Begin the task's next execution if it is idle.
+
+            An execution is one queued tuple or, for a batchable task,
+            one micro-batch through ``execute_batch``.  A batch stops
+            after the first marker (epoch granularity), so marker
+            alignment is timed exactly as in the per-tuple engine, and
+            at ``max_batch`` tuples, so one deep queue cannot monopolize
+            a core arbitrarily long.
 
             The core is reserved only when the task actually starts — a
             task waiting on its own serial stream must not hold cores
             hostage (that would serialize co-located pipeline stages)."""
             nonlocal makespan
-            if runtime.running or not runtime.queue:
+            queue = runtime.queue
+            if runtime.running or not queue:
                 return
-            if ft_on:
-                runtime.executions += 1
-                if (
-                    runtime.crash_after
-                    and runtime.executions > runtime.crash_after[0]
-                ):
-                    runtime.crash_after.pop(0)  # each threshold fires once
-                    fail_task((runtime.component, runtime.index), now,
-                              "injected crash")
-                    return
-            if runtime.batchable:
-                start_batch(runtime, now)
+            if runtime.crash_after and crashes_now(runtime, now):
                 return
-            tup, was_remote = runtime.queue.popleft()
+            batchable = runtime.batchable
+            if batchable:
+                batch: List[Tuple[StormTuple, bool]] = []
+                while queue and len(batch) < max_batch:
+                    entry = queue.popleft()
+                    batch.append(entry)
+                    if isinstance(entry[0].event, Marker):
+                        break
+            else:
+                batch = [queue.popleft()]
+            tup = batch[-1][0]
             start = now
             cores = core_free.get(runtime.machine)
             if cores is not None:
@@ -874,7 +829,13 @@ class Simulator:
                     if hooks is not None else None
                 )
             try:
-                runtime.payload.execute(runtime.state, tup, runtime.collector)
+                if batchable:
+                    runtime.payload.execute_batch(
+                        runtime.state, [entry[0] for entry in batch],
+                        runtime.collector,
+                    )
+                else:
+                    runtime.payload.execute(runtime.state, tup, runtime.collector)
             except Exception as exc:
                 if cores is not None:
                     heapq.heappush(cores, start)
@@ -884,13 +845,9 @@ class Simulator:
                     return
                 raise task_failure(runtime, exc) from exc
             outputs = runtime.collector.drain()
-            if (
-                recovery_on
-                and runtime.seal_on_marker
-                and isinstance(tup.event, Marker)
-            ):
-                # Plain single-channel bolt: every executed marker seals
-                # an epoch (there is nothing to align).
+            if runtime.seal_on_marker and isinstance(tup.event, Marker):
+                # Plain single-channel bolt under recovery: every
+                # executed marker seals an epoch (nothing to align).
                 sealed_ts = tup.event.timestamp
                 runtime.last_marker = sealed_ts
                 if checkpoint_epoch(sealed_ts):
@@ -898,64 +855,8 @@ class Simulator:
                         (runtime.component, runtime.index), sealed_ts,
                         runtime.payload.snapshot_state(runtime.state),
                     )
-            if tm_on:
-                breakdown: List[Tuple[str, float, int]] = []
-                cost = execution_cost_detailed(runtime, tup, was_remote, breakdown)
-            else:
-                breakdown = _NO_BREAKDOWN
-                cost = execution_cost(runtime, tup, was_remote)
-            finish = start + cost
-            machine_busy[runtime.machine] = (
-                machine_busy.get(runtime.machine, 0.0) + cost
-            )
-            if cores is not None:
-                heapq.heappush(cores, finish)
-            runtime.free_at = finish
-            runtime.running = True
-            makespan = max(makespan, finish)
-            processed[runtime.component] += 1
-            if obs_on:
-                record_execution(
-                    runtime, tup, start, finish, cost, breakdown,
-                    len(outputs), hooks, pre_markers,
-                )
-            route(runtime, outputs, finish)
-            schedule(finish, "done", (runtime.component, runtime.index))
-
-        def start_batch(runtime: _TaskRuntime, now: float) -> None:
-            """Drain one epoch-capped micro-batch and execute it at once.
-
-            The batch stops after the first marker (epoch granularity),
-            so marker alignment is timed exactly as in the serial
-            engine, and at ``max_batch`` tuples, so one deep queue
-            cannot monopolize a core arbitrarily long."""
-            nonlocal makespan
-            queue = runtime.queue
-            batch: List[Tuple[StormTuple, bool]] = []
-            while queue and len(batch) < max_batch:
-                entry = queue.popleft()
-                batch.append(entry)
-                if isinstance(entry[0].event, Marker):
-                    break
-            start = now
-            cores = core_free.get(runtime.machine)
-            if cores is not None:
-                earliest = heapq.heappop(cores)
-                start = max(start, earliest)
-            try:
-                runtime.payload.execute_batch(
-                    runtime.state, [tup for tup, _ in batch], runtime.collector
-                )
-            except Exception as exc:
-                if cores is not None:
-                    heapq.heappush(cores, start)
-                runtime.collector.drain()
-                if recovery_on:
-                    recover_all(now, f"operator exception: {exc}")
-                    return
-                raise task_failure(runtime, exc) from exc
-            outputs = runtime.collector.drain()
-            cost = execution_cost_batch(runtime, batch)
+            breakdown = [] if tm_on else None
+            cost = execution_cost(runtime, batch, breakdown)
             finish = start + cost
             machine_busy[runtime.machine] = (
                 machine_busy.get(runtime.machine, 0.0) + cost
@@ -966,6 +867,11 @@ class Simulator:
             runtime.running = True
             makespan = max(makespan, finish)
             processed[runtime.component] += len(batch)
+            if obs_on:
+                record_execution(
+                    runtime, tup, start, finish, cost, breakdown,
+                    len(outputs), hooks, pre_markers,
+                )
             route(runtime, outputs, finish)
             schedule(finish, "done", (runtime.component, runtime.index))
 
@@ -979,13 +885,19 @@ class Simulator:
         ) -> None:
             """Ship one tuple to every selected task of ``consumer``.
 
-            Under recovery every transmission is numbered per link and
-            delivered through the receiver's resequencer ("rdeliver"):
-            the link is at-least-once, so an injected drop becomes a
-            late retransmission, a duplicate is filtered on arrival, and
-            a reorder (which deliberately bypasses the FIFO floor) is
-            buffered until the gap fills.  Without recovery the faults
-            are raw — drops lose the tuple outright.
+            On a fault-injected link under recovery, every transmission
+            is numbered per link and delivered through the receiver's
+            resequencer ("rdeliver"): the link is at-least-once, so an
+            injected drop becomes a late retransmission, a duplicate is
+            filtered on arrival, and a reorder (which deliberately
+            bypasses the FIFO floor) is buffered until the gap fills.
+            Only those links pay for the reliability layer: a healthy
+            link is already exactly-once, because rollback purges
+            everything in flight and the sources replay from the
+            checkpoint boundary.  Without recovery the faults are raw —
+            drops lose the tuple outright — and hit only data tuples: a
+            lost or duplicated marker would kill alignment outright
+            rather than corrupt output.
             """
             grouping = runtime.groupings[consumer]
             n_tasks = self.topology.components[consumer].parallelism
@@ -1006,65 +918,41 @@ class Simulator:
                 arrival = max(arrival, floor)
                 link_clock[link] = arrival
                 remote = runtime.machine != dst.machine
-                if recovery_on and edge is not None:
-                    # Only fault-injected links pay for the reliability
-                    # layer (numbering + receiver-side resequencing).  A
-                    # healthy link is already exactly-once: rollback
-                    # purges everything in flight and the sources replay
-                    # from the checkpoint boundary, so sequence-number
-                    # dedup has nothing to catch there.
+                if edge is None or (
+                    not recovery_on and isinstance(tup.event, Marker)
+                ):
+                    schedule(arrival, "deliver", dst_key, tup, remote=remote)
+                    continue
+                # A fault-injected link; each mode keeps its own draw
+                # order on the fault RNG.
+                if recovery_on:
                     seq_no = link_seq.get(link, 0)
                     link_seq[link] = seq_no + 1
-                    actual = arrival
-                    if edge is not None:
-                        if edge.drop:
-                            retransmits = 0
-                            while (
-                                retransmits < edge.max_retransmits
-                                and fault_rng.random() < edge.drop
-                            ):
-                                retransmits += 1
-                            if retransmits:
-                                actual += (
-                                    retransmits * recovery.retransmit_timeout
-                                )
-                                stats.retransmissions += retransmits
-                        if edge.reorder and fault_rng.random() < edge.reorder:
-                            actual += fault_rng.random() * edge.reorder_delay
-                            stats.reordered += 1
-                        if (
-                            edge.duplicate
-                            and fault_rng.random() < edge.duplicate
+                    action, payload = "rdeliver", (seq_no, tup)
+                else:
+                    action, payload = "deliver", tup
+                if edge.drop:
+                    if recovery_on:
+                        retransmits = 0
+                        while (
+                            retransmits < edge.max_retransmits
+                            and fault_rng.random() < edge.drop
                         ):
-                            schedule(
-                                actual
-                                + fault_rng.random() * edge.reorder_delay,
-                                "rdeliver", dst_key, (seq_no, tup),
-                                remote=remote,
-                            )
-                    schedule(
-                        actual, "rdeliver", dst_key, (seq_no, tup),
-                        remote=remote,
-                    )
-                    continue
-                if edge is not None and not isinstance(tup.event, Marker):
-                    # Raw mode perturbs only data tuples: a lost or
-                    # duplicated marker kills alignment outright rather
-                    # than corrupting output, and surviving marker loss
-                    # is exactly what the reliability layer above is
-                    # for.  (Under recovery, markers are numbered and
-                    # faulted like everything else.)
-                    if edge.drop and fault_rng.random() < edge.drop:
+                            retransmits += 1
+                        if retransmits:
+                            arrival += retransmits * recovery.retransmit_timeout
+                            stats.retransmissions += retransmits
+                    elif fault_rng.random() < edge.drop:
                         continue  # raw mode: the tuple is simply lost
-                    if edge.reorder and fault_rng.random() < edge.reorder:
-                        arrival += fault_rng.random() * edge.reorder_delay
-                        stats.reordered += 1
-                    if edge.duplicate and fault_rng.random() < edge.duplicate:
-                        schedule(
-                            arrival + fault_rng.random() * edge.reorder_delay,
-                            "deliver", dst_key, tup, remote=remote,
-                        )
-                schedule(arrival, "deliver", dst_key, tup, remote=remote)
+                if edge.reorder and fault_rng.random() < edge.reorder:
+                    arrival += fault_rng.random() * edge.reorder_delay
+                    stats.reordered += 1
+                if edge.duplicate and fault_rng.random() < edge.duplicate:
+                    schedule(
+                        arrival + fault_rng.random() * edge.reorder_delay,
+                        action, dst_key, payload, remote=remote,
+                    )
+                schedule(arrival, action, dst_key, payload, remote=remote)
 
         def route(runtime: _TaskRuntime, events: List[Event], at: float) -> None:
             for event in events:
@@ -1159,29 +1047,15 @@ class Simulator:
                 continue
 
             if action == "spout":
-                if ft_on:
-                    runtime.executions += 1
-                    if (
-                        runtime.crash_after
-                        and runtime.executions > runtime.crash_after[0]
-                    ):
-                        runtime.crash_after.pop(0)
-                        fail_task(task_key, time_now, "injected crash")
-                        continue
-                replayed = False
-                if runtime.replay_cursor is not None:
-                    if runtime.replay_cursor < len(runtime.emit_log):
-                        # Replay one logged event per wakeup; skip the
-                        # input counters and frontier taps — this
-                        # traffic was already accounted the first time.
-                        outputs = [runtime.emit_log[runtime.replay_cursor]]
-                        runtime.replay_cursor += 1
-                        alive = True
-                        replayed = True
-                        stats.replayed_events += 1
-                    else:
-                        runtime.replay_cursor = None  # caught up: go live
-                if not replayed:
+                if runtime.crash_after and crashes_now(runtime, time_now):
+                    continue
+                # log_start: emission-log position of this wakeup's first
+                # output (the log exists only under recovery).
+                log_start = runtime.replay_cursor
+                if log_start is not None and log_start >= len(runtime.emit_log):
+                    log_start = runtime.replay_cursor = None  # caught up: go live
+                live = log_start is None
+                if live:
                     try:
                         alive = runtime.payload.next_tuple(runtime.collector)
                     except Exception as exc:
@@ -1191,51 +1065,51 @@ class Simulator:
                             continue
                         raise task_failure(runtime, exc) from exc
                     outputs = runtime.collector.drain()
-                    if recovery_on and outputs:
+                    input_all += len(outputs)
+                    if recovery_on:
+                        log_start = len(runtime.emit_log)
                         runtime.emit_log.extend(outputs)
+                else:
+                    # Replay one logged event per wakeup; skip the input
+                    # counters and frontier taps — this traffic was
+                    # already accounted the first time.
+                    outputs = [runtime.emit_log[log_start]]
+                    runtime.replay_cursor = log_start + 1
+                    alive = True
+                    stats.replayed_events += 1
                 cost = sum(
                     self.cost_model.spout_cost(runtime.component, e) for e in outputs
                 )
-                start = begin_processing(runtime, time_now)
+                # Spout emissions are self-paced: the wakeup time *is*
+                # when the task wants the core, so reserve it now.
+                start = max(time_now, runtime.free_at)
+                cores = core_free.get(runtime.machine)
+                if cores is not None:
+                    start = max(start, heapq.heappop(cores))
                 finish = start + cost
-                finish_processing(runtime, finish)
+                runtime.free_at = finish
+                if cores is not None:
+                    heapq.heappush(cores, finish)
                 makespan = max(makespan, finish)
-                if replayed:
-                    for event in outputs:
-                        if isinstance(event, Marker):
-                            ts = event.timestamp
-                            runtime.last_marker = ts
-                            if checkpoint_epoch(ts):
-                                record_snapshot(
-                                    task_key, ts,
-                                    {"log_pos": runtime.replay_cursor},
-                                )
-                else:
-                    emitted_before = (
-                        len(runtime.emit_log) - len(outputs)
-                        if recovery_on else 0
-                    )
-                    for position, event in enumerate(outputs):
-                        input_all += 1
-                        if isinstance(event, KV):
-                            input_data += 1
-                        elif isinstance(event, Marker):
-                            ts = event.timestamp
+                for position, event in enumerate(outputs):
+                    if live and isinstance(event, KV):
+                        input_data += 1
+                    elif isinstance(event, Marker):
+                        ts = event.timestamp
+                        if live:
                             marker_emit_times.setdefault(ts, finish)
                             if monitors_on:
                                 monitors.on_source_marker(
                                     runtime.component, ts, finish
                                 )
-                            if recovery_on:
-                                if ts not in epoch_index:
-                                    epoch_index[ts] = len(epoch_index)
-                                runtime.last_marker = ts
-                                if checkpoint_epoch(ts):
-                                    record_snapshot(
-                                        task_key, ts,
-                                        {"log_pos":
-                                         emitted_before + position + 1},
-                                    )
+                        if recovery_on:
+                            epoch_index.setdefault(ts, len(epoch_index))
+                            runtime.last_marker = ts
+                            if checkpoint_epoch(ts):
+                                record_snapshot(
+                                    task_key, ts,
+                                    {"log_pos": log_start + position + 1},
+                                )
                 if tm_on and outputs:
                     tracer.exec_span(
                         runtime.component, runtime.index, runtime.machine,

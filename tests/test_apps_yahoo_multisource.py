@@ -8,8 +8,10 @@ from repro.apps.yahoo.handcrafted import handcrafted_query2
 from repro.apps.yahoo.queries import query2, query4, query4_multi_source
 from repro.compiler import compile_dag
 from repro.compiler.compile import SourceSpec, source_from_events
+from repro.compiler.inprocess import compile_inprocess
 from repro.dag import evaluate_dag
 from repro.operators.base import KV, Marker
+from repro.operators.merge import Merge
 from repro.storm import LocalRunner
 from repro.storm.local import events_to_trace
 
@@ -88,6 +90,52 @@ class TestFigure3MultiSource:
         )
         spouts = [s.name for s in compiled.topology.spouts()]
         assert sorted(spouts) == ["Yahoo0", "Yahoo1", "Yahoo2"]
+
+
+class TestInProcessMergeBuffering:
+    """``InProcessPipeline.run`` advances the sources one epoch block at
+    a time, so the implicit merge in front of Filter-Map buffers about
+    one epoch of events, not most of a stream."""
+
+    N_SOURCES = 4
+    EVENTS_PER_EPOCH = 100
+
+    def peak_pending(self, monkeypatch, batched):
+        workload = YahooWorkload(
+            seconds=50, events_per_second=self.EVENTS_PER_EPOCH, seed=3
+        )
+        events = workload.events()
+        parts = split_stream(events, self.N_SOURCES)
+        dag = query4_multi_source(workload.make_database(), self.N_SOURCES)
+        peak = [0]
+
+        def tracked(method):
+            def wrapper(self, state, channel, payload):
+                out = method(self, state, channel, payload)
+                pending = sum(
+                    len(block) for queue in state.pending for block in queue
+                )
+                peak[0] = max(peak[0], pending)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(Merge, "handle", tracked(Merge.handle))
+        monkeypatch.setattr(Merge, "handle_batch", tracked(Merge.handle_batch))
+        pipe = compile_inprocess(dag, batched=batched)
+        outputs = pipe.run(
+            {f"Yahoo{i}": part for i, part in enumerate(parts)}
+        )
+        monkeypatch.undo()
+        expected = evaluate_dag(
+            query4(workload.make_database(), parallelism=1), {"events": events}
+        ).sink_trace("SINK", False)
+        assert events_to_trace(outputs["SINK"], False) == expected
+        return peak[0]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_peak_merge_pending_within_one_epoch(self, monkeypatch, batched):
+        peak = self.peak_pending(monkeypatch, batched)
+        assert peak <= self.EVENTS_PER_EPOCH
 
 
 class TestQuery2StateCrossValidation:

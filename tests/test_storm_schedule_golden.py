@@ -1,0 +1,160 @@
+"""Golden schedules: the simulator's exact output, pinned per configuration.
+
+The simulator is seeded and deterministic, so one topology and seed
+give one schedule.  The parity suites compare canonical sink traces (or
+two runs of the same code); this file instead pins a digest of the
+*schedule itself* — makespan, per-component counts, every sink delivery
+time, per-machine busy time and the recovery accounting — for Query III
+under each execution mode.  A refactor of the simulator's execution
+paths must leave every digest unchanged.
+
+Keys are routed through the FNV ``default_key_hash``, so the digests do
+not depend on ``PYTHONHASHSEED``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.apps.yahoo.events import YahooWorkload
+from repro.apps.yahoo.queries import query3, query3_costs
+from repro.compiler import compile_dag
+from repro.compiler.compile import source_from_events
+from repro.obs import ObsContext
+from repro.operators.base import KV, Marker
+from repro.storm import Cluster, Simulator
+from repro.storm.batching import BatchingOptions
+from repro.storm.costs import PerComponentCostModel
+from repro.storm.faults import EdgeFaults, FaultPlan, demo_plan
+from repro.storm.groupings import MarkerAwareGrouping
+from repro.storm.recovery import RecoveryOptions
+from repro.storm.topology import Bolt, CaptureBolt, IteratorSpout, TopologyBuilder
+
+SEED = 7
+
+
+def schedule_digest(report) -> str:
+    """sha1 over the parts of a report that the schedule determines."""
+    recovery = report.recovery.to_dict() if report.recovery is not None else None
+    pinned = (
+        report.makespan,
+        sorted(report.processed.items()),
+        sorted(report.emitted.items()),
+        sorted(report.sink_delivery_times.items()),
+        sorted(report.machine_busy.items()),
+        recovery,
+    )
+    return hashlib.sha1(repr(pinned).encode()).hexdigest()
+
+
+def run_q3(batched=False, faults=None, recovery=None, obs=None,
+           remote_cpu=0.0):
+    """A small Query III run: 20 one-second epochs of 30 events, 2 spouts,
+    4-way parallel stages on 2 machines of 2 cores."""
+    workload = YahooWorkload(seconds=20, events_per_second=30, seed=SEED)
+    events = workload.events()
+    compiled = compile_dag(
+        query3(workload.make_database(), 4),
+        {"events": source_from_events(events, 2)},
+    )
+    if faults == "demo":
+        faults = demo_plan(compiled.topology, SEED)
+    costs = query3_costs()
+    costs.remote_cpu = remote_cpu
+    simulator = Simulator(
+        compiled.topology, Cluster(2, cores_per_machine=2),
+        cost_model=costs, seed=SEED,
+        batching=BatchingOptions.for_compiled(compiled) if batched else None,
+        faults=faults, recovery=recovery, obs=obs,
+    )
+    return simulator.run()
+
+
+class Double(Bolt):
+    def execute(self, state, tup, collector):
+        event = tup.event
+        if isinstance(event, KV):
+            event = KV(event.key, 2 * event.value)
+        collector.emit(event)
+
+
+def run_plain():
+    """Hand-written bolts without ``execute_batch`` or ``cost_events``:
+    charged through ``cpu_cost`` and never micro-batched."""
+    events = []
+    for epoch in range(1, 11):
+        events += [KV(i % 7, epoch * i) for i in range(20)] + [Marker(epoch)]
+    builder = TopologyBuilder("plain")
+    builder.set_spout("src", IteratorSpout(lambda i, n: iter(events)), 1)
+    builder.set_bolt("double", Double(), 3).grouping(
+        "src", MarkerAwareGrouping("hash")
+    )
+    builder.set_bolt("sink", CaptureBolt(), 1).grouping(
+        "double", MarkerAwareGrouping("global")
+    )
+    costs = PerComponentCostModel({"double": 3e-6, "sink": 1e-6})
+    costs.remote_cpu = 1e-6
+    return Simulator(
+        builder.build(), Cluster(2), cost_model=costs, seed=SEED,
+        batching=BatchingOptions(),
+    ).run()
+
+
+CONFIGS = {
+    "per-tuple": lambda: run_q3(),
+    "micro-batch+combiners": lambda: run_q3(batched=True),
+    "demo-faults+recovery/per-tuple": lambda: run_q3(
+        faults="demo", recovery=RecoveryOptions(checkpoint_every=1)
+    ),
+    "demo-faults+recovery/micro-batch": lambda: run_q3(
+        batched=True, faults="demo",
+        recovery=RecoveryOptions(checkpoint_every=1),
+    ),
+    "edge-faults/no-recovery": lambda: run_q3(
+        faults=FaultPlan(
+            default_edge=EdgeFaults(drop=0.05, duplicate=0.05, reorder=0.1),
+            seed=SEED,
+        )
+    ),
+    "per-tuple/obs-collecting": lambda: run_q3(obs=ObsContext.collecting()),
+    # Cross-machine deserialization is charged per tuple inside a batch.
+    "per-tuple/remote-cpu": lambda: run_q3(remote_cpu=2e-6),
+    "micro-batch/remote-cpu": lambda: run_q3(batched=True, remote_cpu=2e-6),
+    "plain-bolts": run_plain,
+}
+
+#: Any change here is a change of the simulated schedule, not a refactor.
+GOLDEN = {
+    "per-tuple": "67ef7314eb14bed116b444cddedb8b4ed56e0ca1",
+    "micro-batch+combiners": "93e786c6da5f84e476700dbf355d32f8fb3864d1",
+    "demo-faults+recovery/per-tuple": "3f7c9e57bd69597eeca3f59e70244733087e2cb9",
+    "demo-faults+recovery/micro-batch": "7c9158ff86a7dcecba0432343c31f7c55457343a",
+    "edge-faults/no-recovery": "69cf6a54b558099b424a8bbca6d5d962c2e3d91d",
+    "per-tuple/obs-collecting": "67ef7314eb14bed116b444cddedb8b4ed56e0ca1",
+    "per-tuple/remote-cpu": "9cf54345b7d02d13b51428e7509ca2b608ff9376",
+    "micro-batch/remote-cpu": "66cf9b31b2e6355a4f95fa8971da9e7c8f7cafcc",
+    "plain-bolts": "3c75f6638755efb6daba0d00fdf41c494693783a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_schedule_matches_golden(name):
+    assert schedule_digest(CONFIGS[name]()) == GOLDEN[name]
+
+
+def test_fault_configs_engage():
+    """The pinned fault runs really roll back, retransmit and lose
+    tuples, so their digests cover the recovery and raw-fault paths."""
+    for name in ("demo-faults+recovery/per-tuple",
+                 "demo-faults+recovery/micro-batch"):
+        stats = CONFIGS[name]().recovery
+        assert stats.recoveries >= 1, name
+        assert stats.retransmissions >= 1, name
+        assert stats.duplicates_filtered >= 1, name
+    raw = CONFIGS["edge-faults/no-recovery"]()
+    clean = CONFIGS["per-tuple"]()
+    assert raw.recovery.reordered >= 1
+    assert raw.input_data_tuples == clean.input_data_tuples
+    assert sum(raw.processed.values()) != sum(clean.processed.values())

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.operators.base import KV, Marker
+from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster, Placement, round_robin_placement
 from repro.storm.costs import (
     CostModel,
@@ -241,3 +242,11 @@ class TestReportEdgeCases:
         latencies = report.marker_latencies("sink")
         assert set(latencies) == {1, 2}
         assert all(v >= 0 for v in latencies.values())
+
+
+class TestBatchingOptions:
+    @pytest.mark.parametrize("max_batch", [0, -3])
+    def test_non_positive_max_batch_is_rejected(self, max_batch):
+        # A batch cap below one would drain empty batches forever.
+        with pytest.raises(ValueError, match="max_batch"):
+            BatchingOptions(max_batch=max_batch)
