@@ -129,11 +129,10 @@ _SPECS: Dict[str, Dict[str, Tuple[str, Dict[str, int]]]] = {
         "on_marker": ("emitting", {"state": 1, "key": 2, "emit": 4}),
     },
     KEYED_ORDERED: {
-        # on_item/on_items(self, state, key, value(s), emit);
+        # on_item(self, state, key, value, emit);
         # on_marker(self, state, key, m, emit).
         "init": ("pure", {}),
         "on_item": ("emitting", {"state": 1, "key": 2, "value": 3, "emit": 4}),
-        "on_items": ("emitting", {"state": 1, "key": 2, "value": 3, "emit": 4}),
         "on_marker": ("emitting", {"state": 1, "key": 2, "emit": 4}),
     },
     SLIDING: {

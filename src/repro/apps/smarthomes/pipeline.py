@@ -123,33 +123,6 @@ class LinearInterpolationOp(OpKeyedOrdered):
         state[2] = dtype
         return state
 
-    def on_items(self, state, key, values, emit):
-        # Per-key block loop: same interpolation arithmetic as on_item,
-        # with the running (load, ts) kept in locals across the run.
-        i = 0
-        if state is None:
-            first = values[0]
-            emit(key, first)
-            load, ts, dtype = first
-            state = [load, ts, dtype]
-            i = 1
-        prev_load, prev_ts, prev_dtype = state
-        n = len(values)
-        while i < n:
-            load, ts, dtype = values[i]
-            i += 1
-            dt = ts - prev_ts
-            if dt <= 0:
-                continue  # duplicate timestamp: keep the first sample
-            diff = load - prev_load
-            for k in range(1, dt + 1):
-                emit(key, (prev_load + k * diff / dt, prev_ts + k, dtype))
-            prev_load, prev_ts, prev_dtype = load, ts, dtype
-        state[0] = prev_load
-        state[1] = prev_ts
-        state[2] = prev_dtype
-        return state
-
 
 class AveragePerSecondOp(OpKeyedOrdered):
     """Per device type, average all values sharing a timestamp.
@@ -184,32 +157,6 @@ class AveragePerSecondOp(OpKeyedOrdered):
         state[0] = ts
         state[1] = load
         state[2] = 1
-        return state
-
-    def on_items(self, state, key, values, emit):
-        # Per-key block loop with the (ts, total, count) accumulator in
-        # locals; the additions happen in the same order as on_item's.
-        i = 0
-        if state is None:
-            if not values:
-                return state
-            load, ts = values[0]
-            state = [ts, load, 1]
-            i = 1
-        current_ts, total, count = state
-        n = len(values)
-        while i < n:
-            load, ts = values[i]
-            i += 1
-            if ts == current_ts:
-                total += load
-                count += 1
-            else:
-                emit(key, (total / count, current_ts))
-                current_ts, total, count = ts, load, 1
-        state[0] = current_ts
-        state[1] = total
-        state[2] = count
         return state
 
 
@@ -247,27 +194,6 @@ class PredictOp(OpKeyedOrdered):
             past_sum = sum(map(_load_of, islice(window, len(window) - 1)))
             model = self._models.get(key)
             if model is not None:
-                prediction = model.predict([float(ts % 86400), avg_load, past_sum])
-                emit(key, (ts, round(prediction, 3)))
-        return window
-
-    def on_items(self, state, key, values, emit):
-        # Per-key block loop: one model lookup per run, window plumbing
-        # bound to locals; identical arithmetic to on_item.
-        window = state
-        append = window.append
-        popleft = window.popleft
-        past = self._past
-        warm = past // 2
-        model = self._models.get(key)
-        for value in values:
-            avg_load, ts = value
-            append((ts, avg_load))
-            low = ts - past
-            while window[0][0] < low:
-                popleft()
-            if len(window) > warm and model is not None:
-                past_sum = sum(map(_load_of, islice(window, len(window) - 1)))
                 prediction = model.predict([float(ts % 86400), avg_load, past_sum])
                 emit(key, (ts, round(prediction, 3)))
         return window

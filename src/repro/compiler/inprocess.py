@@ -9,26 +9,30 @@ events, suitable for embedding the computation in another program (or
 another engine's operator slot).
 
 The compilation reuses the DAG's topological structure directly: every
-vertex becomes a node holding its operator state; events are pushed
-through edges with an iterative worklist (no recursion, so deep chains
-and high-fan-out DAGs cannot hit the interpreter's recursion limit).
+vertex becomes a node holding its operator state; blocks of events are
+pushed through edges with one iterative FIFO worklist of
+``(edge_id, block)`` entries (no recursion, so deep chains and high-fan-out
+DAGs cannot hit the interpreter's recursion limit).
 
-Two execution granularities share that worklist:
+Execution granularity is a choice of kernel over a block, not a second
+routing path.  Every vertex consumes its whole input block and forwards
+one output block per out-edge; a flag picks how it consumes it:
 
-- **event-at-a-time** (:meth:`InProcessPipeline.push`) moves one event
-  per worklist entry through ``Operator.handle``;
-- **epoch-batched** (:meth:`InProcessPipeline.push_batch`, the default
-  for :meth:`InProcessPipeline.run` when compiled with ``batched=True``)
-  moves whole ``List[Event]`` blocks through ``Operator.handle_batch``
-  and ``Merge.handle_batch``, paying the per-edge plumbing once per
-  block instead of once per event.
+- **event-at-a-time** (:meth:`InProcessPipeline.push`, and
+  :meth:`InProcessPipeline.run` by default) loops ``Operator.handle`` and
+  ``Merge.handle`` over the block — the paper's per-event semantics;
+- **epoch-batched** (:meth:`InProcessPipeline.push_batch`, and ``run``
+  when compiled with ``batched=True``) calls ``Operator.handle_batch``
+  and ``Merge.handle_batch`` once per block.
 
-The batched path is licensed by the edge types: the type checker has
+The batch kernels are licensed by the edge types: the type checker has
 already established what order each edge's consumers may rely on, and
-the batch kernels (see :mod:`repro.operators`) reorder only what the
-edge type declares invisible — so both granularities denote the same
-trace transduction and their canonical sink traces coincide (asserted by
-the parity suite).
+the kernels (see :mod:`repro.operators`) reorder only what the edge type
+declares invisible.  FIFO processing preserves per-edge delivery order,
+the only order any operator relies on, so both kernel choices denote the
+same trace transduction and their canonical sink traces coincide
+(asserted by the parity suite); only the byte order across a fan-out
+may differ.
 """
 
 from __future__ import annotations
@@ -60,49 +64,48 @@ class InProcessPipeline:
         typecheck_dag(dag)
         self._dag = dag
         self._batched = batched
-        self._order = dag.topological_order()
         self._op_state: Dict[int, Any] = {}
+        # Explicit MERGE vertices and the implicit merge frontends of
+        # multi-input OP vertices, keyed by vertex id.
+        self._merges: Dict[int, Merge] = {}
         self._merge_state: Dict[int, Any] = {}
-        # Implicit merges for multi-input OP vertices.
-        self._implicit_merge: Dict[int, Merge] = {}
+        # Out-edge ids per vertex, resolved once: the worklist's routes.
+        self._routes: Dict[int, List[int]] = {}
         self._outputs: Dict[str, List[Event]] = {
             sink.name: [] for sink in dag.sinks()
         }
         self._source_edges: Dict[str, int] = {}
-        for vertex in self._order:
+        for vertex in dag.topological_order():
+            vertex_id = vertex.vertex_id
+            self._routes[vertex_id] = [e.edge_id for e in dag.out_edges(vertex)]
             if vertex.kind == VertexKind.SOURCE:
-                (edge,) = dag.out_edges(vertex)
-                self._source_edges[vertex.name] = edge.edge_id
+                (edge_id,) = self._routes[vertex_id]
+                self._source_edges[vertex.name] = edge_id
             elif vertex.kind == VertexKind.OP:
-                self._op_state[vertex.vertex_id] = vertex.payload.initial_state()
+                self._op_state[vertex_id] = vertex.payload.initial_state()
                 ins = dag.in_edges(vertex)
                 if len(ins) > 1:
-                    merge = Merge(len(ins))
-                    self._implicit_merge[vertex.vertex_id] = merge
-                    self._merge_state[vertex.vertex_id] = merge.initial_state()
+                    self._merges[vertex_id] = Merge(len(ins))
             elif vertex.kind == VertexKind.MERGE:
-                self._op_state[vertex.vertex_id] = vertex.payload.initial_state()
+                self._merges[vertex_id] = vertex.payload
             elif vertex.kind == VertexKind.SPLIT:
                 raise CompilationError(
                     "the in-process backend compiles logical DAGs; express "
                     "parallelism with hints (they are ignored here)"
                 )
+        for vertex_id, merge in self._merges.items():
+            self._merge_state[vertex_id] = merge.initial_state()
 
     # ------------------------------------------------------------------
 
     def push(self, source: str, event: Event) -> None:
-        """Consume one event from the named source."""
-        self._push_edge(self._resolve_source(source), event)
+        """Consume one event from the named source through ``handle``."""
+        self._drain(self._resolve_source(source), [event], False)
 
     def push_batch(self, source: str, events: Sequence[Event]) -> None:
-        """Consume a block of events from the named source at once.
-
-        The block travels the DAG as a unit: each vertex consumes the
-        whole block through its batch kernel and forwards one output
-        block per out-edge.
-        """
-        if events:
-            self._push_edge_batch(self._resolve_source(source), list(events))
+        """Consume a block of events from the named source at once,
+        through the batch kernels."""
+        self._drain(self._resolve_source(source), list(events), True)
 
     def outputs(self, sink: str) -> List[Event]:
         """Everything delivered to ``sink`` so far."""
@@ -120,7 +123,7 @@ class InProcessPipeline:
 
         Meaningful at epoch boundaries — after pushing whole marker-
         terminated blocks through every source — where the DAG is fully
-        drained (the push worklists run to completion), so there is no
+        drained (the push worklist runs to completion), so there is no
         in-flight data to capture.
         """
         vertices = self._dag.vertices
@@ -130,7 +133,7 @@ class InProcessPipeline:
                 for vertex_id, state in self._op_state.items()
             },
             "merges": {
-                vertex_id: self._implicit_merge[vertex_id].snapshot_state(state)
+                vertex_id: self._merges[vertex_id].snapshot_state(state)
                 for vertex_id, state in self._merge_state.items()
             },
             "outputs": {
@@ -151,20 +154,16 @@ class InProcessPipeline:
             )
         for vertex_id, snap in snapshot["merges"].items():
             self._merge_state[vertex_id] = (
-                self._implicit_merge[vertex_id].restore_state(snap)
+                self._merges[vertex_id].restore_state(snap)
             )
         for name, length in snapshot["outputs"].items():
             del self._outputs[name][length:]
 
     def push_block(self, source: str, events: Sequence[Event]) -> None:
-        """Consume a block of events at this pipeline's granularity:
-        :meth:`push_batch` when compiled ``batched``, else :meth:`push`
-        per event."""
-        if self._batched:
-            self.push_batch(source, events)
-        else:
-            for event in events:
-                self.push(source, event)
+        """Consume a block of events with this pipeline's compiled kernel
+        choice: the batch kernels when compiled ``batched``, else
+        ``handle`` per event."""
+        self._drain(self._resolve_source(source), list(events), self._batched)
 
     def run(
         self, source_events: Dict[str, Sequence[Event]]
@@ -196,61 +195,20 @@ class InProcessPipeline:
         except KeyError:
             raise CompilationError(f"unknown source {source!r}")
 
-    def _push_edge(self, edge_id: int, event: Event) -> None:
-        """Move one event through the DAG with an iterative worklist.
+    def _drain(self, edge_id: int, block: List[Event], batched: bool) -> None:
+        """Move a block through the DAG with one FIFO worklist.
 
-        Entries are ``(edge_id, event)``; FIFO processing preserves
-        per-edge delivery order, which is the only order the operators
-        rely on.
+        Entries are ``(edge_id, block)``; each vertex consumes its whole
+        block and forwards one output block per out-edge.  ``batched``
+        picks the kernels: ``handle_batch`` once per block, or ``handle``
+        once per event of the block.
         """
         edges = self._dag.edges
         vertices = self._dag.vertices
-        work: Deque[Tuple[int, Event]] = deque()
-        work.append((edge_id, event))
-        while work:
-            edge_id, event = work.popleft()
-            edge = edges[edge_id]
-            vertex = vertices[edge.dst]
-            if vertex.kind == VertexKind.SINK:
-                self._outputs[vertex.name].append(event)
-                continue
-            if vertex.kind == VertexKind.MERGE:
-                outputs = vertex.payload.handle(
-                    self._op_state[vertex.vertex_id], edge.dst_port, event
-                )
-                (out_edge,) = self._dag.out_edges(vertex)
-                for out in outputs:
-                    work.append((out_edge.edge_id, out))
-                continue
-            # OP vertex, possibly with an implicit merge frontend.
-            merge = self._implicit_merge.get(vertex.vertex_id)
-            events: List[Event]
-            if merge is not None:
-                events = merge.handle(
-                    self._merge_state[vertex.vertex_id], edge.dst_port, event
-                )
-            else:
-                events = [event]
-            state = self._op_state[vertex.vertex_id]
-            out_edges = self._dag.out_edges(vertex)
-            handle = vertex.payload.handle
-            for incoming in events:
-                for out in handle(state, incoming):
-                    for out_edge in out_edges:
-                        work.append((out_edge.edge_id, out))
-
-    def _push_edge_batch(self, edge_id: int, events: List[Event]) -> None:
-        """Move a whole block of events through the DAG at once.
-
-        The worklist carries ``(edge_id, List[Event])`` blocks; each
-        vertex consumes its block through the batch kernels, so the
-        per-edge bookkeeping is paid once per block rather than once per
-        event.
-        """
-        edges = self._dag.edges
-        vertices = self._dag.vertices
+        merges = self._merges
+        routes = self._routes
         work: Deque[Tuple[int, List[Event]]] = deque()
-        work.append((edge_id, events))
+        work.append((edge_id, block))
         while work:
             edge_id, block = work.popleft()
             if not block:
@@ -260,25 +218,29 @@ class InProcessPipeline:
             if vertex.kind == VertexKind.SINK:
                 self._outputs[vertex.name].extend(block)
                 continue
-            if vertex.kind == VertexKind.MERGE:
-                outputs = vertex.payload.handle_batch(
-                    self._op_state[vertex.vertex_id], edge.dst_port, block
-                )
-                (out_edge,) = self._dag.out_edges(vertex)
-                work.append((out_edge.edge_id, outputs))
-                continue
-            merge = self._implicit_merge.get(vertex.vertex_id)
+            vertex_id = vertex.vertex_id
+            merge = merges.get(vertex_id)
             if merge is not None:
-                block = merge.handle_batch(
-                    self._merge_state[vertex.vertex_id], edge.dst_port, block
-                )
-                if not block:
-                    continue
-            outputs = vertex.payload.handle_batch(
-                self._op_state[vertex.vertex_id], block
-            )
-            for out_edge in self._dag.out_edges(vertex):
-                work.append((out_edge.edge_id, outputs))
+                merge_state, port = self._merge_state[vertex_id], edge.dst_port
+                if batched:
+                    block = merge.handle_batch(merge_state, port, block)
+                else:
+                    aligned: List[Event] = []
+                    for event in block:
+                        aligned.extend(merge.handle(merge_state, port, event))
+                    block = aligned
+            if vertex.kind == VertexKind.OP and block:
+                state = self._op_state[vertex_id]
+                if batched:
+                    block = vertex.payload.handle_batch(state, block)
+                else:
+                    handle = vertex.payload.handle
+                    outputs: List[Event] = []
+                    for event in block:
+                        outputs.extend(handle(state, event))
+                    block = outputs
+            for out_id in routes[vertex_id]:
+                work.append((out_id, block))
 
 
 def compile_inprocess(

@@ -65,23 +65,6 @@ class OpKeyedOrdered(Operator):
         """
         return state
 
-    def on_items(
-        self, state: Any, key: Any, values: List[Any], emit: Callable[[Any, Any], None]
-    ) -> Any:
-        """Consume one key's run of values from a block; return the new state.
-
-        The batch kernel's per-key entry point.  The default folds
-        :meth:`on_item` over the values in order, so overriding is purely
-        an optimization: an override must emit the same output sequence
-        and reach the same final state as that fold (same arithmetic in
-        the same order), just with the per-item dispatch amortized into
-        one call per key per block.
-        """
-        on_item = self.on_item
-        for value in values:
-            state = on_item(state, key, value, emit)
-        return state
-
     # ------------------------------------------------------------------
 
     def initial_state(self) -> _KeyedOrderedState:
@@ -136,12 +119,13 @@ class OpKeyedOrdered(Operator):
         obligation); grouping reorders items *across* keys, which the
         per-key-ordered output type declares invisible.  Each key then
         pays one state probe and one guarded-emit wrapper per block
-        instead of one per item.
+        instead of one per item, then folds :meth:`on_item` over its
+        values in arrival order.
         """
         out: List[Event] = []
         append = out.append
         per_key = state.per_key
-        on_items = self.on_items
+        on_item = self.on_item
         # The default on_marker keeps state and emits nothing, so the
         # per-key marker loop is a no-op the kernel can skip outright.
         on_marker_active = type(self).on_marker is not OpKeyedOrdered.on_marker
@@ -166,12 +150,11 @@ class OpKeyedOrdered(Operator):
                 setdefault(key, []).append(value)
             i = j
             for key, values in groups.items():
-                key_state = (
-                    per_key[key] if key in per_key else self.init()
-                )
-                per_key[key] = on_items(
-                    key_state, key, values, _guarded_append(append, key)
-                )
+                key_state = per_key[key] if key in per_key else self.init()
+                emit = _guarded_append(append, key)
+                for value in values:
+                    key_state = on_item(key_state, key, value, emit)
+                per_key[key] = key_state
         return out
 
 

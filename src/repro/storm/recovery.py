@@ -197,8 +197,17 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
 
     The returned outputs must be canonically trace-equivalent to a plain
     ``compile_inprocess(dag, batched).run(source_events)``.
+
+    Raises ``ValueError`` when ``checkpoint_every < 1``, when
+    ``crash_fraction`` lies outside ``[0, 1]``, or when a crash epoch
+    lies outside ``[0, n_epochs)`` (it could never fire).
     """
     from repro.compiler.inprocess import compile_inprocess
+
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
+    if not 0.0 <= crash_fraction <= 1.0:
+        raise ValueError("crash_fraction must lie in [0, 1]")
 
     stats = RecoveryStats()
     rng = random.Random(seed)
@@ -219,6 +228,11 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
 
     blocks = {name: split_epochs(events) for name, events in streams.items()}
     n_epochs = max((len(b) for b in blocks.values()), default=0)
+    for crash in crash_epochs:
+        if not 0 <= crash < n_epochs:
+            raise ValueError(
+                f"crash epoch {crash} outside [0, {n_epochs}) epochs"
+            )
 
     pipe = compile_inprocess(dag, batched=batched)
     pending_crashes = sorted(set(crash_epochs))

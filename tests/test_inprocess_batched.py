@@ -4,7 +4,7 @@ Covers the epoch-batched execution mode of
 :class:`~repro.compiler.inprocess.InProcessPipeline` (``batched=True``)
 and two fixed engine bugs:
 
-- ``_push_edge`` used to move events by *recursion*, so a pipeline
+- the push worklist used to move events by *recursion*, so a pipeline
   deeper than the interpreter's recursion limit crashed with
   ``RecursionError`` — it now uses an iterative worklist;
 - ``run`` used to keep polling exhausted sources in its round-robin,
@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 import sys
 
+import pytest
+
 from repro.compiler.inprocess import compile_inprocess
 from repro.dag import TransductionDAG, evaluate_dag
 from repro.operators.base import KV, Marker
@@ -24,6 +26,7 @@ from repro.operators.library import map_values, rekey, tumbling_count
 from repro.operators.merge import Merge
 from repro.operators.sort import SortOp
 from repro.storm.local import events_to_trace
+from repro.storm.recovery import split_epochs
 from repro.traces.trace_type import unordered_type
 
 U = unordered_type()
@@ -67,6 +70,30 @@ def mixed_dag() -> TransductionDAG:
         edge_types=[None],
     )
     dag.add_sink("out", upstream=v)
+    return dag
+
+
+def fanout_dag() -> TransductionDAG:
+    """One op feeding two stages that re-merge (explicit merge) into a
+    stateful tail, and also feeding a second sink directly."""
+    dag = TransductionDAG("fanout")
+    src = dag.add_source("src", output_type=U)
+    head = dag.add_op(
+        map_values(lambda v: v + 1, name="head"), upstream=[src],
+        edge_types=[None],
+    )
+    left = dag.add_op(
+        map_values(lambda v: v * 2, name="left"), upstream=[head],
+        edge_types=[None],
+    )
+    right = dag.add_op(
+        rekey(lambda k, v: v % 3, name="right"), upstream=[head],
+        edge_types=[None],
+    )
+    merged = dag.add_merge(Merge(2), upstream=[left, right])
+    tail = dag.add_op(tumbling_count("tc"), upstream=[merged], edge_types=[None])
+    dag.add_sink("out", upstream=tail)
+    dag.add_sink("side", upstream=head)
     return dag
 
 
@@ -147,3 +174,49 @@ class TestBatchedParity:
         base = evaluate_dag(dag, streams).sink_trace("out", True)
         batched = compile_inprocess(dag, batched=True).run(streams)
         assert events_to_trace(batched["out"], True) == base
+
+
+class TestFanOut:
+    """The single worklist interleaves blocks across the edges of a
+    fan-out differently per kernel choice; every entry point must still
+    give the reference sink traces."""
+
+    SINKS = ("out", "side")
+
+    def reference(self, stream):
+        result = evaluate_dag(fanout_dag(), {"src": stream})
+        return {sink: result.sink_trace(sink, False) for sink in self.SINKS}
+
+    def traces(self, pipeline):
+        return {
+            sink: events_to_trace(pipeline.outputs(sink), False)
+            for sink in self.SINKS
+        }
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_entry_point_matches_denotation(self, seed):
+        stream = random_stream(seed, n_blocks=5)
+        base = self.reference(stream)
+
+        per_event = compile_inprocess(fanout_dag())
+        for event in stream:
+            per_event.push("src", event)
+        assert self.traces(per_event) == base
+
+        for batched in (False, True):
+            pipeline = compile_inprocess(fanout_dag(), batched=batched)
+            pipeline.run({"src": stream})
+            assert self.traces(pipeline) == base
+
+        blocks = compile_inprocess(fanout_dag())
+        for block in split_epochs(stream):
+            blocks.push_block("src", block)
+        assert self.traces(blocks) == base
+
+        mixed = compile_inprocess(fanout_dag())
+        cut = len(stream) // 3
+        mixed.push_batch("src", stream[:cut])
+        for event in stream[cut:2 * cut]:
+            mixed.push("src", event)
+        mixed.push_batch("src", stream[2 * cut:])
+        assert self.traces(mixed) == base

@@ -9,6 +9,7 @@ generated pipeline and each random input stream:
 1. the sequential denotation is computed (``evaluate_dag``);
 2. the Theorem 4.3 deployment (logical rewrite) is evaluated;
 3. the compiled topology runs under multiple interleaving seeds;
+4. the in-process backend runs event-at-a-time and epoch-batched;
 
 and all of them must produce the same output trace.
 """
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.compiler import compile_dag
 from repro.compiler.compile import CompilerOptions, source_from_events
+from repro.compiler.inprocess import compile_inprocess
 from repro.dag import TransductionDAG, deploy, evaluate_dag, typecheck_dag
 from repro.operators.base import KV, Marker
 from repro.operators.joins import DistinctCount, TopK
@@ -159,6 +161,9 @@ class TestRandomPipelines:
         LocalRunner(compiled.topology, seed=seed).run()
         got = events_to_trace(compiled.sinks["out"].aligned_events, False)
         assert got == base
+        for batched in (False, True):
+            outputs = compile_inprocess(dag, batched=batched).run({"src": stream})
+            assert events_to_trace(outputs["out"], False) == base
 
     def test_deep_pipeline_every_stage_kind(self):
         """One deterministic deep pipeline touching every pool entry."""

@@ -94,6 +94,26 @@ class TestRunWithRecovery:
         assert events_to_trace(recovered.outputs["OUT"], False) == baseline
         assert recovered.stats.duplicates_filtered >= 1
 
+    @pytest.mark.parametrize("kwargs", [
+        {"checkpoint_every": 0},
+        {"checkpoint_every": -2},
+        # A negative epoch used to sort ahead of 3, never match, and
+        # silently skip the crash at epoch 3.
+        {"crash_epochs": (-1, 3)},
+        {"crash_epochs": (6,)},  # the stream has epochs 0..5
+        {"crash_fraction": -0.1},
+        {"crash_fraction": 1.5},
+    ])
+    def test_rejects_bad_arguments(self, events, kwargs):
+        with pytest.raises(ValueError):
+            run_with_recovery(build_dag(), {"SRC": events}, **kwargs)
+
+    def test_boundary_arguments_accepted(self, events, baseline):
+        for kwargs in ({"crash_epochs": (0, 5)}, {"crash_fraction": 0.0},
+                       {"crash_fraction": 1.0, "crash_epochs": (3,)}):
+            recovered = run_with_recovery(build_dag(), {"SRC": events}, **kwargs)
+            assert events_to_trace(recovered.outputs["OUT"], False) == baseline
+
 
 class TestPipelineSnapshot:
     def test_mid_stream_snapshot_restore_identity(self, events, baseline):
