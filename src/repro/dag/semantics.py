@@ -39,23 +39,11 @@ class EvaluationResult:
 
     def sink_trace(self, sink_name: str, ordered: bool) -> BlockTrace:
         """The canonical trace delivered to a sink."""
-        return _events_to_block_trace(self.sink_events[sink_name], ordered)
+        return BlockTrace.from_events(ordered, self.sink_events[sink_name])
 
     def edge_trace(self, edge: Edge, ordered: bool) -> BlockTrace:
         """The canonical trace labelling an edge."""
-        return _events_to_block_trace(self.edge_events[edge.edge_id], ordered)
-
-
-def _events_to_block_trace(events: Sequence[Event], ordered: bool) -> BlockTrace:
-    from repro.operators.base import KV, Marker
-
-    trace = BlockTrace(ordered)
-    for event in events:
-        if isinstance(event, Marker):
-            trace.add_marker(event.timestamp)
-        else:
-            trace.add_pair(event.key, event.value)
-    return trace
+        return BlockTrace.from_events(ordered, self.edge_events[edge.edge_id])
 
 
 def _interleave_round_robin(channels: List[List[Event]]) -> List[Any]:

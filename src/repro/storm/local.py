@@ -70,12 +70,4 @@ class LocalRunner:
 
 def events_to_trace(events: List[Event], ordered: bool) -> BlockTrace:
     """Canonical :class:`BlockTrace` view of a delivered event sequence."""
-    from repro.operators.base import Marker
-
-    trace = BlockTrace(ordered)
-    for event in events:
-        if isinstance(event, Marker):
-            trace.add_marker(event.timestamp)
-        else:
-            trace.add_pair(event.key, event.value)
-    return trace
+    return BlockTrace.from_events(ordered, events)

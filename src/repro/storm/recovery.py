@@ -44,27 +44,27 @@ from repro.operators.base import Marker
 from repro.storm.faults import EdgeFaults, apply_edge_faults, recover_stream
 
 
+#: Simulated seconds a dropped transmission adds per retransmission.
+RETRANSMIT_TIMEOUT = 1e-3
+#: Simulated seconds between a crash and the tasks' restart.
+RESTART_DELAY = 0.0
+
+
 @dataclass(frozen=True)
 class RecoveryOptions:
     """Knobs for the simulator's recovery coordinator.
 
     ``checkpoint_every`` snapshots every N-th epoch (1 = every epoch);
-    ``retransmit_timeout`` is the extra delay a dropped transmission
-    pays per retransmission; ``restart_delay`` models process restart
-    time after a crash; ``max_recoveries`` bounds total rollbacks so a
-    pathological plan fails loudly instead of looping.
+    ``max_recoveries`` bounds total rollbacks so a pathological plan
+    fails loudly instead of looping.
     """
 
     checkpoint_every: int = 1
-    retransmit_timeout: float = 1e-3
-    restart_delay: float = 0.0
     max_recoveries: int = 25
 
     def __post_init__(self):
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.retransmit_timeout < 0 or self.restart_delay < 0:
-            raise ValueError("timeouts must be non-negative")
         if self.max_recoveries < 1:
             raise ValueError("max_recoveries must be >= 1")
 

@@ -42,6 +42,7 @@ from repro.storm.costs import CostModel, UniformCostModel
 from repro.storm.faults import FaultPlan, Resequencer
 from repro.storm.groupings import Grouping
 from repro.storm.recovery import CheckpointStore, RecoveryOptions, RecoveryStats
+from repro.storm.recovery import RESTART_DELAY, RETRANSMIT_TIMEOUT
 from repro.storm.topology import CaptureBolt, OutputCollector, Spout, Topology
 from repro.obs import ObsContext
 from repro.storm.tuples import StormTuple
@@ -176,8 +177,8 @@ class _TaskRuntime:
         # ascending; each fires once and is consumed) and the execution
         # count they are compared with, last sealed epoch timestamp, the
         # spout's emission log for replay, the replay cursor into it
-        # (None = live), and whether a plain single-channel bolt
-        # snapshots on each executed marker.
+        # (None = live), and whether a plain single-channel bolt seals
+        # an epoch on each executed marker.
         self.crash_after: List[int] = []
         self.executions = 0
         self.last_marker: Any = None
@@ -203,18 +204,17 @@ class Simulator:
         alignment spans, and merge channel-skew gauges, and feeds any
         attached :class:`~repro.obs.monitor.MonitorHub` every delivery
         (type-conformance checks), source marker (frontier), and sealed
-        epoch (watermarks).  Instrumentation is read-only — it never
-        touches the RNG or the schedule, so an instrumented run produces
-        bit-identical results.
+        epoch (watermarks).  Instrumentation is read-only on both
+        schedules, per tuple and batched — it never touches the RNG or
+        the schedule, so an instrumented run produces bit-identical
+        results; with micro-batching one execution span covers a batch.
     batching: optional :class:`~repro.storm.batching.BatchingOptions`
         enabling the epoch-batched fast paths — receiver-side
         micro-batching through ``execute_batch`` (one framework overhead
         per batch instead of per tuple) and sender-side per-key
         combiners on type-licensed ``U(K,V)`` hash edges.  Batching
         changes the simulated *schedule* (fewer invocations, fewer
-        shipped tuples) but never the canonical sink traces; it is
-        disabled automatically while ``obs`` is enabled, because the
-        instrumentation records per-tuple executions.
+        shipped tuples) but never the canonical sink traces.
     faults: optional :class:`~repro.storm.faults.FaultPlan` injecting
         task crashes, machine failures, and per-edge message
         drop/duplicate/reorder.  Fault randomness draws from the plan's
@@ -331,19 +331,17 @@ class Simulator:
         tm_on = tracer_on or metrics_on
         monitors = obs.monitors if obs_on else None
         monitors_on = monitors is not None and monitors.enabled
-        # Tasks whose payload exposes merge-frontend hooks (CompiledBolt,
-        # AlignedCaptureBolt) get marker-epoch alignment tracing.
-        frontend_hooks: Dict[TaskKey, Any] = {}
-        if obs_on:
-            for key, runtime in tasks.items():
-                if hasattr(runtime.payload, "frontend_merge_state"):
-                    frontend_hooks[key] = runtime.payload
+        # Tasks whose payload aligns its inputs through a merge frontend
+        # (CompiledBolt, AlignedCaptureBolt) seal epochs themselves, and
+        # get marker-epoch alignment tracing.
+        frontend_hooks: Dict[TaskKey, Any] = {
+            key: runtime.payload
+            for key, runtime in tasks.items()
+            if hasattr(runtime.payload, "frontend_stats")
+        }
 
-        # Type-licensed batching (see repro.storm.batching).  Disabled
-        # wholesale under observability: the instrumentation records and
-        # type-checks per-tuple executions and deliveries, which the
-        # batched schedule deliberately coalesces.
-        batching = self.batching if not obs_on else None
+        # Type-licensed batching (see repro.storm.batching).
+        batching = self.batching
         max_batch = batching.max_batch if batching is not None else 1
         combiner_plan = batching.combiners if batching is not None else {}
         if batching is not None:
@@ -407,29 +405,34 @@ class Simulator:
                     "checkpoints_taken", component=key[0]
                 ).inc()
 
+        # Epochs sealed by the running execution, for the instrumentation
+        # to close once it finishes (instrumented frontend tasks only).
+        sealed: List[Any] = []
+
         def make_seal_cb(key: TaskKey, runtime: "_TaskRuntime"):
-            """The epoch-seal callback armed on checkpointable bolts."""
+            """A bolt task's one epoch-seal signal (``collector.on_seal``):
+            failure context, checkpoints and epoch tracing all hang off
+            it.  It lives on the task's collector, so rollback keeps it."""
+            traced = obs_on and key in frontend_hooks
 
             def on_seal(ts: Any) -> None:
                 runtime.last_marker = ts
-                if checkpoint_epoch(ts):
+                if recovery_on and checkpoint_epoch(ts):
                     record_snapshot(
                         key, ts, runtime.payload.snapshot_state(runtime.state)
                     )
+                if traced:
+                    sealed.append(ts)
 
             return on_seal
 
-        if recovery_on:
-            for key, runtime in tasks.items():
-                if runtime.is_spout:
+        for key, runtime in tasks.items():
+            if runtime.is_spout:
+                if recovery_on:
                     runtime.emit_log = []
-                    continue
-                payload = runtime.payload
-                if hasattr(payload, "arm_seal_hook"):
-                    payload.arm_seal_hook(
-                        runtime.state, make_seal_cb(key, runtime)
-                    )
-                    continue
+                continue
+            runtime.collector.on_seal = make_seal_cb(key, runtime)
+            if recovery_on and key not in frontend_hooks:
                 spec = self.topology.components[runtime.component]
                 n_channels = sum(
                     self.topology.components[upstream].parallelism
@@ -442,7 +445,7 @@ class Simulator:
                         "upstream task channels without a merge frontend; "
                         "use a compiled topology or AlignedCaptureBolt"
                     )
-                if isinstance(payload, CaptureBolt) and spec.parallelism > 1:
+                if isinstance(runtime.payload, CaptureBolt) and spec.parallelism > 1:
                     raise SimulationError(
                         f"recovery requires CaptureBolt {runtime.component!r} "
                         "to run with parallelism 1 (its record is shared "
@@ -507,15 +510,7 @@ class Simulator:
             runtime: _TaskRuntime, exc: BaseException
         ) -> TaskFailureError:
             """Wrap a task's exception with its failure context."""
-            epoch = None
-            payload = runtime.payload
-            if hasattr(payload, "frontend_watermark"):
-                try:
-                    epoch = payload.frontend_watermark(runtime.state)
-                except Exception:
-                    epoch = None
-            if epoch is None:
-                epoch = runtime.last_marker
+            epoch = runtime.last_marker
             return TaskFailureError(
                 f"task {runtime.component}[{runtime.index}] on machine "
                 f"{runtime.machine} failed (last sealed epoch {epoch!r}): "
@@ -576,7 +571,7 @@ class Simulator:
             heap = [e for e in heap if e[2] in ("crash", "machine-fault")]
             heapq.heapify(heap)
             store.drop_after(epoch)
-            restart = now + recovery.restart_delay
+            restart = now + RESTART_DELAY
             for key, runtime in tasks.items():
                 runtime.queue.clear()
                 runtime.running = False
@@ -599,10 +594,6 @@ class Simulator:
                     spec = self.topology.components[runtime.component]
                     runtime.state = payload.prepare(
                         runtime.index, spec.parallelism
-                    )
-                if hasattr(payload, "arm_seal_hook"):
-                    payload.arm_seal_hook(
-                        runtime.state, make_seal_cb(key, runtime)
                     )
             if monitors_on:
                 monitors.on_rollback(epoch, now)
@@ -690,12 +681,12 @@ class Simulator:
             return cost
 
         def record_execution(
-            runtime: _TaskRuntime, tup: StormTuple, start: float,
-            finish: float, cost: float,
+            runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]],
+            start: float, finish: float, cost: float,
             breakdown: Optional[List[Tuple[str, float, int]]], fanout: int,
-            hooks: Any, pre_markers: Optional[int],
         ) -> None:
-            """Trace/measure one bolt execution (instrumented runs only)."""
+            """Trace/measure one bolt execution — a tuple or a micro-batch
+            (instrumented runs only)."""
             comp, idx = runtime.component, runtime.index
             if tm_on:
                 tracer.sample(
@@ -703,10 +694,13 @@ class Simulator:
                 )
                 tracer.exec_span(
                     comp, idx, runtime.machine, start, finish,
-                    {"event": type(tup.event).__name__, "fanout": fanout},
+                    {"event": type(batch[-1][0].event).__name__,
+                     "fanout": fanout},
                 )
                 if metrics_on:
-                    metrics.counter("tuples_processed", component=comp).inc()
+                    metrics.counter(
+                        "tuples_processed", component=comp
+                    ).inc(len(batch))
                     metrics.counter(
                         "task_busy_seconds", component=comp, task=idx
                     ).inc(cost)
@@ -730,37 +724,31 @@ class Simulator:
                                 "member_cpu_seconds", component=comp,
                                 vertex=vertex,
                             ).inc(vertex_cost)
+            hooks = frontend_hooks.get((comp, idx))
             if hooks is None:
                 return
-            # Marker-epoch alignment: if this execution raised the merge
-            # frontend's emitted-marker count, the delivered marker was
-            # the laggard completing its epoch — close the epoch span.
-            merge_state = hooks.frontend_merge_state(runtime.state)
-            sealed = (
-                pre_markers is not None
-                and merge_state.emitted_markers > pre_markers
-                and isinstance(tup.event, Marker)
-            )
-            if sealed and monitors_on:
-                monitors.on_epoch_sealed(comp, idx, tup.event.timestamp, finish)
+            # Marker-epoch alignment: each epoch this execution sealed
+            # (the delivered marker was the laggard completing it) closes
+            # its epoch span.
+            if monitors_on:
+                for ts in sealed:
+                    monitors.on_epoch_sealed(comp, idx, ts, finish)
             if not tm_on:
                 return
-            if sealed:
-                stats = hooks.frontend_stats(runtime.state)
+            stats = hooks.frontend_stats(runtime.state)
+            for ts in sealed:
                 wait = tracer.epoch_release(
-                    comp, idx, tup.event.timestamp, finish,
+                    comp, idx, ts, finish,
                     {"buffered_after": stats["buffered_tuples"]},
                 )
                 if metrics_on:
                     metrics.counter(
                         "epochs_aligned", component=comp, task=idx
-                    ).inc(merge_state.emitted_markers - pre_markers)
+                    ).inc()
                     if wait is not None:
                         metrics.histogram(
                             "epoch_wait_seconds", component=comp
                         ).observe(wait)
-            else:
-                stats = hooks.frontend_stats(runtime.state)
             if metrics_on:
                 skew_gauge = metrics.gauge("merge_skew", component=comp, task=idx)
                 skew_gauge.set_max(
@@ -822,12 +810,6 @@ class Simulator:
             if cores is not None:
                 earliest = heapq.heappop(cores)
                 start = max(start, earliest)
-            if obs_on:
-                hooks = frontend_hooks.get((runtime.component, runtime.index))
-                pre_markers = (
-                    hooks.frontend_merge_state(runtime.state).emitted_markers
-                    if hooks is not None else None
-                )
             try:
                 if batchable:
                     runtime.payload.execute_batch(
@@ -840,6 +822,7 @@ class Simulator:
                 if cores is not None:
                     heapq.heappush(cores, start)
                 runtime.collector.drain()
+                sealed.clear()
                 if recovery_on:
                     recover_all(now, f"operator exception: {exc}")
                     return
@@ -848,13 +831,7 @@ class Simulator:
             if runtime.seal_on_marker and isinstance(tup.event, Marker):
                 # Plain single-channel bolt under recovery: every
                 # executed marker seals an epoch (nothing to align).
-                sealed_ts = tup.event.timestamp
-                runtime.last_marker = sealed_ts
-                if checkpoint_epoch(sealed_ts):
-                    record_snapshot(
-                        (runtime.component, runtime.index), sealed_ts,
-                        runtime.payload.snapshot_state(runtime.state),
-                    )
+                runtime.collector.on_seal(tup.event.timestamp)
             breakdown = [] if tm_on else None
             cost = execution_cost(runtime, batch, breakdown)
             finish = start + cost
@@ -869,9 +846,10 @@ class Simulator:
             processed[runtime.component] += len(batch)
             if obs_on:
                 record_execution(
-                    runtime, tup, start, finish, cost, breakdown,
-                    len(outputs), hooks, pre_markers,
+                    runtime, batch, start, finish, cost, breakdown,
+                    len(outputs),
                 )
+                sealed.clear()
             route(runtime, outputs, finish)
             schedule(finish, "done", (runtime.component, runtime.index))
 
@@ -940,7 +918,7 @@ class Simulator:
                         ):
                             retransmits += 1
                         if retransmits:
-                            arrival += retransmits * recovery.retransmit_timeout
+                            arrival += retransmits * RETRANSMIT_TIMEOUT
                             stats.retransmissions += retransmits
                     elif fault_rng.random() < edge.drop:
                         continue  # raw mode: the tuple is simply lost

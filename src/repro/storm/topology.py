@@ -22,11 +22,22 @@ from repro.storm.groupings import Grouping, ShuffleGrouping
 from repro.storm.tuples import StormTuple
 
 
+def _ignore_seal(timestamp: Any) -> None:
+    return None
+
+
 class OutputCollector:
-    """Collects the events a spout/bolt emits during one invocation."""
+    """Collects the events a spout/bolt emits during one invocation.
+
+    ``on_seal(ts)`` is the runtime's epoch-seal signal: a bolt that
+    aligns its input channels calls it once its state reflects epoch
+    ``ts`` and nothing newer.  The simulator binds it once per task (it
+    survives rollback); the default ignores it.
+    """
 
     def __init__(self):
         self._buffer: List[Event] = []
+        self.on_seal: Callable[[Any], None] = _ignore_seal
 
     def emit(self, event: Event) -> None:
         self._buffer.append(event)

@@ -127,21 +127,21 @@ class BlockTrace:
 
     @classmethod
     def from_events(cls, ordered: bool, events: Iterable[Any]) -> "BlockTrace":
-        """Build from a stream of ``(key, value)`` tuples and
-        ``("#", timestamp)`` marker tuples (or :class:`Item` markers)."""
+        """Build from runtime ``KV``/``Marker`` events, :class:`Item`
+        values, or ``(key, value)`` and ``("#", timestamp)`` tuples."""
         from repro.operators.base import KV as RuntimeKV, Marker as RuntimeMarker
 
         trace = cls(ordered)
         for event in events:
-            if isinstance(event, Item):
+            if isinstance(event, RuntimeKV):
+                trace.add_pair(event.key, event.value)
+            elif isinstance(event, RuntimeMarker):
+                trace.add_marker(event.timestamp)
+            elif isinstance(event, Item):
                 if is_marker(event):
                     trace.add_marker(event.value)
                 else:
                     trace.add_pair(event.key, event.value)
-            elif isinstance(event, RuntimeMarker):
-                trace.add_marker(event.timestamp)
-            elif isinstance(event, RuntimeKV):
-                trace.add_pair(event.key, event.value)
             elif isinstance(event, tuple) and len(event) == 2 and event[0] == "#":
                 trace.add_marker(event[1])
             else:

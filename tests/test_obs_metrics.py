@@ -12,6 +12,7 @@ from repro.compiler.compile import source_from_events
 from repro.obs import ObsContext, MetricsRegistry, NullRegistry, Tracer
 from repro.obs.metrics import percentile
 from repro.operators.base import KV, Marker
+from repro.storm.batching import BatchingOptions
 from repro.storm.cluster import Cluster
 from repro.storm.local import LocalRunner
 from repro.storm.simulator import Simulator
@@ -154,6 +155,35 @@ class TestInstrumentationParity:
         for component, count in report.processed.items():
             if count:  # spouts never enter the bolt path and stay at 0
                 assert snap["tuples_processed"][f"component={component}"] == count
+
+    def test_batched_run_counts_tuples_not_executions(self):
+        """Observed micro-batch runs keep the batched schedule, and
+        ``tuples_processed`` counts tuples: one execution span may cover
+        a whole batch."""
+        events = SensorWorkload().events()
+        compiled = compile_dag(
+            iot_typed_dag(parallelism=2),
+            {"SENSOR": source_from_events(events, 2)},
+        )
+        batching = BatchingOptions.for_compiled(compiled)
+        cluster = Cluster(2, cores_per_machine=2)
+        plain = Simulator(
+            compiled.topology, cluster, seed=5, batching=batching
+        ).run()
+        obs = ObsContext.collecting()
+        report = Simulator(
+            compiled.topology, cluster, seed=5, batching=batching, obs=obs
+        ).run()
+        assert report.makespan == plain.makespan
+        assert report.processed == plain.processed
+        assert report.sink_delivery_times == plain.sink_delivery_times
+        counted = obs.metrics.snapshot()["tuples_processed"]
+        assert sum(counted.values()) == sum(report.processed.values())
+        bolt_executions = [
+            span for span in obs.tracer.spans_by_cat("exec")
+            if report.processed[span.component]
+        ]
+        assert len(bolt_executions) < sum(report.processed.values())
 
     def test_merge_skew_gauges_present_for_compiled_bolts(self):
         obs = ObsContext.collecting()

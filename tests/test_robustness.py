@@ -12,6 +12,7 @@ from repro.operators.base import KV, Marker
 from repro.operators.library import map_values, tumbling_count
 from repro.operators.merge import Merge
 from repro.storm import Cluster, LocalRunner, Simulator
+from repro.storm.batching import BatchingOptions
 from repro.storm.costs import PerComponentCostModel
 from repro.storm.groupings import MarkerAwareGrouping
 from repro.storm.topology import (
@@ -64,6 +65,39 @@ class TestOperatorFailures:
         assert failure.machine is not None
         assert failure.report is not None
         assert failure.report.input_all_tuples > 0
+
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_failure_reports_last_sealed_epoch(self, batched):
+        """A compiled bolt whose operator raises on the first item of
+        epoch 3 reports epoch 2: the last epoch its merge frontend
+        sealed, per tuple and with micro-batches."""
+
+        def explode_in_epoch_3(value):
+            if value >= 30:
+                raise RuntimeError("injected operator failure")
+            return value
+
+        events = []
+        for epoch in range(1, 5):
+            events += [KV(j % 3, 10 * epoch + j) for j in range(6)]
+            events.append(Marker(epoch))
+        dag = TransductionDAG("fail-epoch")
+        src = dag.add_source("src", output_type=U)
+        op = dag.add_op(map_values(explode_in_epoch_3, name="Explode"),
+                        upstream=[src], edge_types=[U])
+        dag.add_sink("out", upstream=op)
+        compiled = compile_dag(dag, {"src": source_from_events(events, 2)})
+        simulator = Simulator(
+            compiled.topology, Cluster(1, cores_per_machine=4), seed=0,
+            batching=BatchingOptions.for_compiled(compiled) if batched else None,
+        )
+        with pytest.raises(TaskFailureError, match="injected operator failure") as info:
+            simulator.run()
+        failure = info.value
+        assert "Explode" in failure.component
+        assert failure.epoch == 2
+        assert "last sealed epoch 2" in str(failure)
 
 
 class TestMarkerProtocolViolations:

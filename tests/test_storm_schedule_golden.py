@@ -119,6 +119,15 @@ CONFIGS = {
         )
     ),
     "per-tuple/obs-collecting": lambda: run_q3(obs=ObsContext.collecting()),
+    # Instrumentation keeps the batched schedule: same digests as above.
+    "micro-batch+combiners/obs-collecting": lambda: run_q3(
+        batched=True, obs=ObsContext.collecting()
+    ),
+    "demo-faults+recovery/micro-batch/obs-collecting": lambda: run_q3(
+        batched=True, faults="demo",
+        recovery=RecoveryOptions(checkpoint_every=1),
+        obs=ObsContext.collecting(),
+    ),
     # Cross-machine deserialization is charged per tuple inside a batch.
     "per-tuple/remote-cpu": lambda: run_q3(remote_cpu=2e-6),
     "micro-batch/remote-cpu": lambda: run_q3(batched=True, remote_cpu=2e-6),
@@ -133,6 +142,10 @@ GOLDEN = {
     "demo-faults+recovery/micro-batch": "7c9158ff86a7dcecba0432343c31f7c55457343a",
     "edge-faults/no-recovery": "69cf6a54b558099b424a8bbca6d5d962c2e3d91d",
     "per-tuple/obs-collecting": "67ef7314eb14bed116b444cddedb8b4ed56e0ca1",
+    "micro-batch+combiners/obs-collecting": "93e786c6da5f84e476700dbf355d32f8fb3864d1",
+    "demo-faults+recovery/micro-batch/obs-collecting": (
+        "7c9158ff86a7dcecba0432343c31f7c55457343a"
+    ),
     "per-tuple/remote-cpu": "9cf54345b7d02d13b51428e7509ca2b608ff9376",
     "micro-batch/remote-cpu": "66cf9b31b2e6355a4f95fa8971da9e7c8f7cafcc",
     "plain-bolts": "3c75f6638755efb6daba0d00fdf41c494693783a",
