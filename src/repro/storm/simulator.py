@@ -49,6 +49,10 @@ from repro.storm.tuples import StormTuple
 
 TaskKey = Tuple[str, int]
 
+# Heap actions, in dispatch (frequency) order; rollback keeps the
+# injected faults (codes >= CRASH) armed.
+RDELIVER, DELIVER, DONE, SPOUT, CRASH, MACHINE_FAULT = range(6)
+
 
 @dataclass
 class SimulationReport:
@@ -138,12 +142,13 @@ class _TaskRuntime:
         "payload",
         "state",
         "free_at",
-        "groupings",
+        "routes",
         "collector",
         "queue",
         "running",
         "batchable",
-        "combiners",
+        "compiled",
+        "sink",
         "executions",
         "crash_after",
         "last_marker",
@@ -160,18 +165,18 @@ class _TaskRuntime:
         self.payload = payload
         self.state = state
         self.free_at = 0.0
-        # downstream component -> per-sender grouping instance
-        self.groupings: Dict[str, Grouping] = {}
+        # One _Route per downstream component, in topology order.
+        self.routes: List[_Route] = []
         self.collector = OutputCollector()
         # FIFO of pending (tuple, remote) deliveries; `running` marks an
-        # in-flight execution (a scheduled "done" event).
+        # in-flight execution (a scheduled DONE event).
         self.queue: "deque" = deque()
         self.running = False
-        # Micro-batching eligibility and sender-side combiner buffers
-        # (consumer -> {key: pending monoid aggregate}); populated by
-        # Simulator.run when a BatchingOptions licenses them.
+        # Micro-batching eligibility; whether the payload reports
+        # per-vertex work (`cost_events`); the sink's delivery record.
         self.batchable = False
-        self.combiners: Dict[str, Dict[Any, Any]] = {}
+        self.compiled = hasattr(payload, "cost_events")
+        self.sink: Optional[List[Tuple[float, int, StormTuple]]] = None
         # Fault-tolerance bookkeeping (see repro.storm.recovery):
         # pending injected-crash thresholds (lifetime execution counts,
         # ascending; each fires once and is consumed) and the execution
@@ -185,6 +190,44 @@ class _TaskRuntime:
         self.emit_log: Optional[List[Event]] = None
         self.replay_cursor: Optional[int] = None
         self.seal_on_marker = False
+
+
+class _Route:
+    """One sender task's link state towards one consumer component.
+
+    Bound once per run: the grouping's ``select``, the consumer's task
+    runtimes, the edge's :class:`~repro.storm.faults.EdgeFaults`
+    (``None`` when healthy) and the sender-side combiner buffer
+    (``{key: pending monoid aggregate}``, or ``None``).  Per target
+    task it keeps the link's FIFO floor, the reliability layer's
+    sequence counter and the receiver's resequencer (the latter two
+    are used only on fault-injected links under recovery).
+    """
+
+    __slots__ = ("select", "n_tasks", "targets", "edge", "head", "pending",
+                 "floors", "seqs", "reseqs")
+
+    def __init__(self, grouping: Grouping, n_tasks: int):
+        self.select = grouping.select
+        self.n_tasks = n_tasks
+        self.targets: List[_TaskRuntime] = []
+        self.edge: Any = None
+        self.head: Any = None
+        self.pending: Optional[Dict[Any, Any]] = None
+        self.reseqs: List[Resequencer] = []
+        self.reset()
+
+    def reset(self) -> int:
+        """Start a new link incarnation after a rollback: floors,
+        numbering, resequencers and combiner buffers restart.  Returns
+        the duplicates the old resequencers filtered."""
+        duplicates = sum(r.duplicates for r in self.reseqs)
+        if self.pending:
+            self.pending.clear()
+        self.floors = [0.0] * self.n_tasks
+        self.seqs = [0] * self.n_tasks
+        self.reseqs = [Resequencer() for _ in range(self.n_tasks)]
+        return duplicates
 
 
 class Simulator:
@@ -262,15 +305,11 @@ class Simulator:
 
     def run(self) -> SimulationReport:
         rng = random.Random(self.seed)
+        topology = self.topology
         tasks: Dict[TaskKey, _TaskRuntime] = {}
-        downstream: Dict[str, List[str]] = {}
-        for spec in self.topology.components.values():
-            downstream[spec.name] = [
-                name for name, _ in self.topology.downstream_of(spec.name)
-            ]
 
         # Instantiate tasks.
-        for spec in self.topology.components.values():
+        for spec in topology.components.values():
             for index in range(spec.parallelism):
                 machine = self.placement.machine_of(spec.name, index)
                 if spec.is_spout:
@@ -284,22 +323,24 @@ class Simulator:
                     runtime = _TaskRuntime(
                         spec.name, index, machine, False, spec.payload, state
                     )
-                # Per-sender grouping instances for each downstream bolt.
-                for consumer, grouping in self.topology.downstream_of(spec.name):
+                # One route, with its own grouping instance, per
+                # downstream bolt (bound to its targets further down).
+                for consumer, grouping in topology.downstream_of(spec.name):
                     instance = copy.deepcopy(grouping)
                     instance.bind(random.Random(rng.randrange(2**62)))
-                    runtime.groupings[consumer] = instance
+                    runtime.routes.append(_Route(
+                        instance, topology.components[consumer].parallelism
+                    ))
                 tasks[(spec.name, index)] = runtime
 
         # Fault tolerance: a dedicated RNG (never the scheduling RNG, so
         # a recovery-enabled fault-free run draws the identical schedule)
-        # plus the per-edge fault table and per-task crash thresholds.
+        # plus per-task crash thresholds (edge faults go on the routes).
         faults = self.faults
         recovery = self.recovery
         recovery_on = recovery is not None
-        fault_rng = random.Random(faults.seed) if faults is not None else None
+        fault_random = random.Random(faults.seed).random if faults is not None else None
         stats = RecoveryStats() if faults is not None or recovery_on else None
-        edge_faults_map: Dict[Tuple[str, str], Any] = {}
         if faults is not None:
             for crash in faults.crashes:
                 crash_key = (crash.component, crash.task)
@@ -311,11 +352,6 @@ class Simulator:
                     thresholds = tasks[crash_key].crash_after
                     thresholds.append(crash.after_executions)
                     thresholds.sort()
-            for spec in self.topology.components.values():
-                for consumer, _ in self.topology.downstream_of(spec.name):
-                    edge = faults.edge_faults(spec.name, consumer)
-                    if edge is not None and edge.active():
-                        edge_faults_map[(spec.name, consumer)] = edge
 
         # Observability: precompute everything so the disabled path pays
         # exactly one `if obs_on` check per instrumentation site.
@@ -334,9 +370,9 @@ class Simulator:
         # Tasks whose payload aligns its inputs through a merge frontend
         # (CompiledBolt, AlignedCaptureBolt) seal epochs themselves, and
         # get marker-epoch alignment tracing.
-        frontend_hooks: Dict[TaskKey, Any] = {
-            key: runtime.payload
-            for key, runtime in tasks.items()
+        frontend_hooks: Dict[_TaskRuntime, Any] = {
+            runtime: runtime.payload
+            for runtime in tasks.values()
             if hasattr(runtime.payload, "frontend_stats")
         }
 
@@ -344,41 +380,56 @@ class Simulator:
         batching = self.batching
         max_batch = batching.max_batch if batching is not None else 1
         combiner_plan = batching.combiners if batching is not None else {}
-        if batching is not None:
+        if batching is not None and batching.micro_batch:
             for runtime in tasks.values():
-                if batching.micro_batch and hasattr(
-                    runtime.payload, "execute_batch"
-                ):
-                    runtime.batchable = True
-                for consumer in downstream[runtime.component]:
-                    if (runtime.component, consumer) in combiner_plan:
-                        runtime.combiners[consumer] = {}
+                runtime.batchable = hasattr(runtime.payload, "execute_batch")
+
+        # Bind each route once: its consumer's task runtimes, the edge's
+        # faults and the sender-side combiner; and each sink's record.
+        sink_deliveries: Dict[str, List[Tuple[float, int, StormTuple]]] = {
+            spec.name: []
+            for spec in topology.components.values()
+            if isinstance(spec.payload, CaptureBolt)
+        }
+        routes: List[_Route] = []
+        for runtime in tasks.values():
+            component = runtime.component
+            runtime.sink = sink_deliveries.get(component)
+            for out, (consumer, _) in zip(
+                runtime.routes, topology.downstream_of(component)
+            ):
+                out.targets = [tasks[(consumer, i)] for i in range(out.n_tasks)]
+                if faults is not None:
+                    edge = faults.edge_faults(component, consumer)
+                    if edge is not None and edge.active():
+                        out.edge = edge
+                out.head = combiner_plan.get((component, consumer))
+                if out.head is not None:
+                    out.pending = {}
+                routes.append(out)
 
         # Per-machine core availability heaps (source host unbounded).
         core_free: Dict[int, List[float]] = {}
         for machine in self.cluster.machines:
             core_free[machine.machine_id] = [0.0] * machine.cores
 
-        heap: List[Tuple[float, int, str, TaskKey, Optional[StormTuple], bool]] = []
-        seq = itertools.count()
+        # Entries: (time, seq, action, task runtime, item, remote); the
+        # seq tiebreak makes pop order total.
+        heap: List[Tuple[float, int, int, Any, Any, bool]] = []
+        push, pop = heapq.heappush, heapq.heappop
+        tick = itertools.count().__next__
 
-        def schedule(time: float, action: str, task: TaskKey, tup=None,
-                     remote: bool = False):
-            heapq.heappush(heap, (time, next(seq), action, task, tup, remote))
-
-        # Time-triggered faults enter the heap as their own actions
-        # (handled before task dispatch — a machine fault has no task).
+        # Time-triggered faults enter the heap as their own actions (a
+        # machine fault has no task).
         if faults is not None:
             for crash in faults.crashes:
                 if crash.at_time is not None:
-                    schedule(
-                        crash.at_time, "crash", (crash.component, crash.task)
-                    )
+                    runtime = tasks[(crash.component, crash.task)]
+                    push(heap, (crash.at_time, tick(), CRASH, runtime, None,
+                                False))
             for machine_fault in faults.machine_faults:
-                schedule(
-                    machine_fault.at_time, "machine-fault", None,
-                    tup=machine_fault,
-                )
+                push(heap, (machine_fault.at_time, tick(), MACHINE_FAULT, None,
+                            machine_fault, False))
 
         # Epoch-aligned checkpointing: epoch timestamps are indexed in
         # marker order as spouts first emit them; a snapshot epoch is
@@ -413,7 +464,7 @@ class Simulator:
             """A bolt task's one epoch-seal signal (``collector.on_seal``):
             failure context, checkpoints and epoch tracing all hang off
             it.  It lives on the task's collector, so rollback keeps it."""
-            traced = obs_on and key in frontend_hooks
+            traced = obs_on and runtime in frontend_hooks
 
             def on_seal(ts: Any) -> None:
                 runtime.last_marker = ts
@@ -432,10 +483,10 @@ class Simulator:
                     runtime.emit_log = []
                 continue
             runtime.collector.on_seal = make_seal_cb(key, runtime)
-            if recovery_on and key not in frontend_hooks:
-                spec = self.topology.components[runtime.component]
+            if recovery_on and runtime not in frontend_hooks:
+                spec = topology.components[runtime.component]
                 n_channels = sum(
-                    self.topology.components[upstream].parallelism
+                    topology.components[upstream].parallelism
                     for upstream in spec.inputs
                 )
                 if n_channels > 1:
@@ -454,17 +505,12 @@ class Simulator:
                 runtime.seal_on_marker = True
 
         # Kick off all spout tasks at t=0.
-        for key, runtime in tasks.items():
+        for runtime in tasks.values():
             if runtime.is_spout:
-                schedule(0.0, "spout", key)
+                push(heap, (0.0, tick(), SPOUT, runtime, None, False))
 
-        processed: Dict[str, int] = {name: 0 for name in self.topology.components}
-        emitted: Dict[str, int] = {name: 0 for name in self.topology.components}
-        sink_deliveries: Dict[str, List[Tuple[float, int, StormTuple]]] = {
-            spec.name: []
-            for spec in self.topology.components.values()
-            if isinstance(spec.payload, CaptureBolt)
-        }
+        processed: Dict[str, int] = {name: 0 for name in topology.components}
+        emitted: Dict[str, int] = {name: 0 for name in topology.components}
         marker_emit_times: Dict[Any, float] = {}
         machine_busy: Dict[int, float] = {}
         input_data = 0
@@ -472,11 +518,14 @@ class Simulator:
         makespan = 0.0
         events_handled = 0
 
-        # Per-link FIFO floors, reliability-layer sequence counters, and
-        # receiver-side resequencers (the latter two only under recovery).
-        link_clock: Dict[Tuple[TaskKey, TaskKey], float] = {}
-        link_seq: Dict[Tuple[TaskKey, TaskKey], int] = {}
-        link_reseq: Dict[Tuple[TaskKey, TaskKey], Resequencer] = {}
+        # Cost-model methods, bound per run (after any instance-level
+        # wrapping) instead of looked up per tuple.
+        model = self.cost_model
+        overhead, remote_cpu = model.framework_overhead, model.remote_cpu
+        cpu_cost, glue_cost = model.cpu_cost, model.glue_cost
+        vertex_cost, spout_cost = model.vertex_cost, model.spout_cost
+        network_delay = model.network_delay
+        tuple_new = tuple.__new__
 
         def build_report() -> SimulationReport:
             """The run's report so far (also attached to failures)."""
@@ -522,9 +571,8 @@ class Simulator:
                 report=build_report(),
             )
 
-        def fail_task(task_key: TaskKey, now: float, detail: str) -> None:
+        def fail_task(runtime: _TaskRuntime, now: float, detail: str) -> None:
             """An injected task crash: recover, or surface with context."""
-            runtime = tasks[task_key]
             if not recovery_on:
                 raise task_failure(runtime, RuntimeError(detail))
             recover_all(now, detail)
@@ -536,7 +584,7 @@ class Simulator:
             if runtime.executions <= runtime.crash_after[0]:
                 return False
             runtime.crash_after.pop(0)  # each threshold fires once
-            fail_task((runtime.component, runtime.index), now, "injected crash")
+            fail_task(runtime, now, "injected crash")
             return True
 
         def recover_all(now: float, detail: str) -> None:
@@ -544,12 +592,11 @@ class Simulator:
 
             Every task restores its checkpoint (or re-prepares, if the
             restored epoch predates its first snapshot), all in-flight
-            messages are discarded, the per-link reliability state is
-            reset (numbering restarts per incarnation — consistent,
-            because *all* state rolls back together), and spouts replay
-            their emission logs from the snapshot's boundary.
+            messages are discarded, every route's link state is reset
+            (numbering restarts per incarnation — consistent, because
+            *all* state rolls back together), and spouts replay their
+            emission logs from the snapshot's boundary.
             """
-            nonlocal heap
             stats.recoveries += 1
             if stats.recoveries > recovery.max_recoveries:
                 raise TaskFailureError(
@@ -560,15 +607,12 @@ class Simulator:
             latest = store.latest()
             epoch, snapshots = latest if latest is not None else (None, {})
             stats.last_restored_epoch = epoch
-            # Bank duplicate counts before the resequencers reset.
-            for resequencer in link_reseq.values():
-                stats.duplicates_filtered += resequencer.duplicates
-            link_reseq.clear()
-            link_seq.clear()
-            link_clock.clear()
+            # Bank duplicate counts as the resequencers reset.
+            for out in routes:
+                stats.duplicates_filtered += out.reset()
             # Purge in-flight traffic and stale task wakeups; injected
             # future faults stay armed.
-            heap = [e for e in heap if e[2] in ("crash", "machine-fault")]
+            heap[:] = [e for e in heap if e[2] >= CRASH]
             heapq.heapify(heap)
             store.drop_after(epoch)
             restart = now + RESTART_DELAY
@@ -576,8 +620,6 @@ class Simulator:
                 runtime.queue.clear()
                 runtime.running = False
                 runtime.collector.drain()
-                for pending in runtime.combiners.values():
-                    pending.clear()
                 runtime.free_at = restart
                 runtime.last_marker = epoch
                 snapshot = snapshots.get(key)
@@ -585,13 +627,13 @@ class Simulator:
                     runtime.replay_cursor = (
                         snapshot["log_pos"] if snapshot is not None else 0
                     )
-                    schedule(restart, "spout", key)
+                    push(heap, (restart, tick(), SPOUT, runtime, None, False))
                     continue
                 payload = runtime.payload
                 if snapshot is not None:
                     runtime.state = payload.restore_state(snapshot)
                 else:
-                    spec = self.topology.components[runtime.component]
+                    spec = topology.components[runtime.component]
                     runtime.state = payload.prepare(
                         runtime.index, spec.parallelism
                     )
@@ -651,18 +693,17 @@ class Simulator:
             Instrumented runs pass ``breakdown``, which receives
             ``(member label, cost seconds, events consumed)`` rows; the
             total is summed in the same order either way."""
-            model = self.cost_model
             component, index = runtime.component, runtime.index
-            compiled = hasattr(runtime.payload, "cost_events")
-            cost = model.framework_overhead
+            compiled = runtime.compiled
+            cost = overhead
             member = 0.0
             for tup, remote in batch:
                 if remote:
-                    cost += model.remote_cpu
+                    cost += remote_cpu
                 if compiled:
-                    charge = model.glue_cost(component, tup.event)
+                    charge = glue_cost(component, tup.event)
                 else:
-                    charge = model.cpu_cost(component, tup.event, index)
+                    charge = cpu_cost(component, tup.event, index)
                 cost += charge
                 member += charge
             if breakdown is not None:
@@ -673,7 +714,7 @@ class Simulator:
                 for vertex, events in runtime.payload.cost_events(runtime.state):
                     member = 0.0
                     for event in events:
-                        charge = model.vertex_cost(vertex, event, index)
+                        charge = vertex_cost(vertex, event, index)
                         cost += charge
                         member += charge
                     if breakdown is not None:
@@ -724,7 +765,7 @@ class Simulator:
                                 "member_cpu_seconds", component=comp,
                                 vertex=vertex,
                             ).inc(vertex_cost)
-            hooks = frontend_hooks.get((comp, idx))
+            hooks = frontend_hooks.get(runtime)
             if hooks is None:
                 return
             # Marker-epoch alignment: each epoch this execution sealed
@@ -808,8 +849,7 @@ class Simulator:
             start = now
             cores = core_free.get(runtime.machine)
             if cores is not None:
-                earliest = heapq.heappop(cores)
-                start = max(start, earliest)
+                start = max(start, heapq.heappop(cores))
             try:
                 if batchable:
                     runtime.payload.execute_batch(
@@ -851,93 +891,81 @@ class Simulator:
                 )
                 sealed.clear()
             route(runtime, outputs, finish)
-            schedule(finish, "done", (runtime.component, runtime.index))
-
-        # FIFO per link: Storm guarantees in-order delivery between a fixed
-        # producer task and consumer task; jittered delays must never
-        # reorder tuples on the same link.  (link_clock lives next to the
-        # reliability-layer maps above so rollback can reset all three.)
+            push(heap, (finish, tick(), DONE, runtime, None, False))
 
         def send(
-            runtime: _TaskRuntime, tup: StormTuple, consumer: str, at: float
+            runtime: _TaskRuntime, out: _Route, tup: StormTuple, at: float
         ) -> None:
-            """Ship one tuple to every selected task of ``consumer``.
+            """Ship one tuple to every task of ``out``'s consumer that
+            its grouping selects.
 
-            On a fault-injected link under recovery, every transmission
-            is numbered per link and delivered through the receiver's
-            resequencer ("rdeliver"): the link is at-least-once, so an
-            injected drop becomes a late retransmission, a duplicate is
-            filtered on arrival, and a reorder (which deliberately
-            bypasses the FIFO floor) is buffered until the gap fills.
-            Only those links pay for the reliability layer: a healthy
-            link is already exactly-once, because rollback purges
-            everything in flight and the sources replay from the
-            checkpoint boundary.  Without recovery the faults are raw —
-            drops lose the tuple outright — and hit only data tuples: a
-            lost or duplicated marker would kill alignment outright
-            rather than corrupt output.
+            Every link is FIFO: Storm guarantees in-order delivery
+            between a fixed producer task and consumer task, so jittered
+            delays never reorder tuples on the same link (the route
+            keeps one floor per target).  On a fault-injected link under
+            recovery, every transmission is numbered per link and
+            delivered through the receiver's resequencer (RDELIVER): the
+            link is at-least-once, so an injected drop becomes a late
+            retransmission, a duplicate is filtered on arrival, and a
+            reorder (which deliberately bypasses the FIFO floor) is
+            buffered until the gap fills.  Only those links pay for the
+            reliability layer: a healthy link is already exactly-once,
+            because rollback purges everything in flight and the sources
+            replay from the checkpoint boundary.  Without recovery the
+            faults are raw — drops lose the tuple outright — and hit
+            only data tuples: a lost or duplicated marker would kill
+            alignment outright rather than corrupt output.
             """
-            grouping = runtime.groupings[consumer]
-            n_tasks = self.topology.components[consumer].parallelism
-            src_key = (runtime.component, runtime.index)
-            edge = (
-                edge_faults_map.get((runtime.component, consumer))
-                if edge_faults_map else None
-            )
-            for target in grouping.select(tup.event, n_tasks):
-                dst_key = (consumer, target)
-                dst = tasks[dst_key]
-                delay = self.cost_model.network_delay(
-                    runtime.machine, dst.machine, rng
-                )
-                arrival = at + delay
-                link = (src_key, dst_key)
-                floor = link_clock.get(link, 0.0)
-                arrival = max(arrival, floor)
-                link_clock[link] = arrival
-                remote = runtime.machine != dst.machine
+            event = tup.event
+            machine = runtime.machine
+            targets, floors, edge = out.targets, out.floors, out.edge
+            for target in out.select(event, out.n_tasks):
+                dst = targets[target]
+                arrival = at + network_delay(machine, dst.machine, rng)
+                arrival = floors[target] = max(arrival, floors[target])
+                remote = machine != dst.machine
                 if edge is None or (
-                    not recovery_on and isinstance(tup.event, Marker)
+                    not recovery_on and isinstance(event, Marker)
                 ):
-                    schedule(arrival, "deliver", dst_key, tup, remote=remote)
+                    push(heap, (arrival, tick(), DELIVER, dst, tup, remote))
                     continue
                 # A fault-injected link; each mode keeps its own draw
                 # order on the fault RNG.
                 if recovery_on:
-                    seq_no = link_seq.get(link, 0)
-                    link_seq[link] = seq_no + 1
-                    action, payload = "rdeliver", (seq_no, tup)
+                    seq_no = out.seqs[target]
+                    out.seqs[target] = seq_no + 1
+                    action, item = RDELIVER, (out.reseqs[target], seq_no, tup)
                 else:
-                    action, payload = "deliver", tup
+                    action, item = DELIVER, tup
                 if edge.drop:
                     if recovery_on:
                         retransmits = 0
                         while (
                             retransmits < edge.max_retransmits
-                            and fault_rng.random() < edge.drop
+                            and fault_random() < edge.drop
                         ):
                             retransmits += 1
                         if retransmits:
                             arrival += retransmits * RETRANSMIT_TIMEOUT
                             stats.retransmissions += retransmits
-                    elif fault_rng.random() < edge.drop:
+                    elif fault_random() < edge.drop:
                         continue  # raw mode: the tuple is simply lost
-                if edge.reorder and fault_rng.random() < edge.reorder:
-                    arrival += fault_rng.random() * edge.reorder_delay
+                if edge.reorder and fault_random() < edge.reorder:
+                    arrival += fault_random() * edge.reorder_delay
                     stats.reordered += 1
-                if edge.duplicate and fault_rng.random() < edge.duplicate:
-                    schedule(
-                        arrival + fault_rng.random() * edge.reorder_delay,
-                        action, dst_key, payload, remote=remote,
-                    )
-                schedule(arrival, action, dst_key, payload, remote=remote)
+                if edge.duplicate and fault_random() < edge.duplicate:
+                    duplicate_at = arrival + fault_random() * edge.reorder_delay
+                    push(heap, (duplicate_at, tick(), action, dst, item, remote))
+                push(heap, (arrival, tick(), action, dst, item, remote))
 
         def route(runtime: _TaskRuntime, events: List[Event], at: float) -> None:
+            component, index = runtime.component, runtime.index
+            emitted[component] += len(events)
             for event in events:
-                emitted[runtime.component] += 1
-                tup = StormTuple(event, runtime.component, runtime.index)
-                for consumer in downstream[runtime.component]:
-                    pending = runtime.combiners.get(consumer)
+                # Flyweight: skips the namedtuple's Python-level __new__.
+                tup = tuple_new(StormTuple, (event, component, index))
+                for out in runtime.routes:
+                    pending = out.pending
                     if pending is not None:
                         if isinstance(event, KV):
                             # Fold instead of shipping: the U(K,V) edge
@@ -946,7 +974,7 @@ class Simulator:
                             # operator folds them through a commutative
                             # monoid — so one pre-combined aggregate per
                             # key per epoch denotes the same trace.
-                            head = combiner_plan[(runtime.component, consumer)]
+                            head = out.head
                             folded = head.fold_in(event.key, event.value)
                             if event.key in pending:
                                 pending[event.key] = head.combine(
@@ -960,27 +988,23 @@ class Simulator:
                             # marker; link FIFO keeps them in its block.
                             for key, agg in pending.items():
                                 send(
-                                    runtime,
+                                    runtime, out,
                                     StormTuple(
                                         KV(key, CombinedAgg(agg)),
-                                        runtime.component,
-                                        runtime.index,
+                                        component, index,
                                     ),
-                                    consumer,
                                     at,
                                 )
                             pending.clear()
-                    send(runtime, tup, consumer, at)
+                    send(runtime, out, tup, at)
 
         def deliver_one(
-            task_key: TaskKey, runtime: _TaskRuntime, tup: StormTuple,
-            remote: bool, time_now: float,
+            runtime: _TaskRuntime, tup: StormTuple, remote: bool,
+            time_now: float,
         ) -> None:
             """Hand one arrived tuple to its task (queue + taps)."""
-            if runtime.component in sink_deliveries:
-                sink_deliveries[runtime.component].append(
-                    (time_now, runtime.index, tup)
-                )
+            if runtime.sink is not None:
+                runtime.sink.append((time_now, runtime.index, tup))
             runtime.queue.append((tup, remote))
             if obs_on:
                 depth = len(runtime.queue)
@@ -1000,7 +1024,7 @@ class Simulator:
                             task=runtime.index,
                         ).set_max(depth)
                     if (
-                        task_key in frontend_hooks
+                        runtime in frontend_hooks
                         and isinstance(tup.event, Marker)
                     ):
                         tracer.epoch_arrival(
@@ -1008,23 +1032,32 @@ class Simulator:
                             runtime.machine, tup.event.timestamp, time_now,
                         )
 
+        max_events = self.max_events
         while heap:
             events_handled += 1
-            if events_handled > self.max_events:
+            if events_handled > max_events:
                 raise SimulationError("simulation exceeded max_events; runaway?")
-            time_now, _, action, task_key, tup, remote = heapq.heappop(heap)
+            time_now, _, action, runtime, item, remote = pop(heap)
 
-            if action == "machine-fault":
-                handle_machine_fault(tup, time_now)
-                continue
-
-            runtime = tasks[task_key]
-
-            if action == "crash":
-                fail_task(task_key, time_now, "injected crash")
-                continue
-
-            if action == "spout":
+            if action == RDELIVER:
+                # Reliability layer: resequence, filter duplicates, then
+                # deliver every released tuple in order.
+                resequencer, seq_no, tup = item
+                if seq_no == resequencer.expected and not resequencer.buffer:
+                    resequencer.expected = seq_no + 1  # in order: release
+                    deliver_one(runtime, tup, remote, time_now)
+                else:
+                    for released_tup, released_remote in resequencer.offer(
+                        seq_no, (tup, remote)
+                    ):
+                        deliver_one(
+                            runtime, released_tup, released_remote, time_now
+                        )
+            elif action == DELIVER:
+                deliver_one(runtime, item, remote, time_now)
+            elif action == DONE:  # the running execution finished
+                runtime.running = False
+            elif action == SPOUT:
                 if runtime.crash_after and crashes_now(runtime, time_now):
                     continue
                 # log_start: emission-log position of this wakeup's first
@@ -1055,9 +1088,8 @@ class Simulator:
                     runtime.replay_cursor = log_start + 1
                     alive = True
                     stats.replayed_events += 1
-                cost = sum(
-                    self.cost_model.spout_cost(runtime.component, e) for e in outputs
-                )
+                component = runtime.component
+                cost = sum(map(spout_cost, itertools.repeat(component), outputs))
                 # Spout emissions are self-paced: the wakeup time *is*
                 # when the task wants the core, so reserve it now.
                 start = max(time_now, runtime.free_at)
@@ -1077,53 +1109,36 @@ class Simulator:
                         if live:
                             marker_emit_times.setdefault(ts, finish)
                             if monitors_on:
-                                monitors.on_source_marker(
-                                    runtime.component, ts, finish
-                                )
+                                monitors.on_source_marker(component, ts, finish)
                         if recovery_on:
                             epoch_index.setdefault(ts, len(epoch_index))
                             runtime.last_marker = ts
                             if checkpoint_epoch(ts):
                                 record_snapshot(
-                                    task_key, ts,
+                                    (component, runtime.index), ts,
                                     {"log_pos": log_start + position + 1},
                                 )
                 if tm_on and outputs:
                     tracer.exec_span(
-                        runtime.component, runtime.index, runtime.machine,
+                        component, runtime.index, runtime.machine,
                         start, finish, {"fanout": len(outputs)},
                     )
                     if metrics_on:
                         metrics.counter(
-                            "spout_emitted", component=runtime.component
+                            "spout_emitted", component=component
                         ).inc(len(outputs))
                 route(runtime, outputs, finish)
                 if alive:
-                    schedule(finish, "spout", task_key)
+                    push(heap, (finish, tick(), SPOUT, runtime, None, False))
                 continue
-
-            if action == "rdeliver":
-                # Reliability layer: resequence, filter duplicates, then
-                # deliver every released tuple in order.
-                assert tup is not None
-                seq_no, real_tup = tup
-                link = (real_tup.channel(), task_key)
-                resequencer = link_reseq.get(link)
-                if resequencer is None:
-                    resequencer = link_reseq[link] = Resequencer()
-                for released_tup, released_remote in resequencer.offer(
-                    seq_no, (real_tup, remote)
-                ):
-                    deliver_one(
-                        task_key, runtime, released_tup, released_remote,
-                        time_now,
-                    )
-            elif action == "deliver":
-                assert tup is not None
-                deliver_one(task_key, runtime, tup, remote, time_now)
-            else:  # "done": the running execution finished
-                runtime.running = False
-            maybe_start(runtime, time_now)
+            elif action == CRASH:
+                fail_task(runtime, time_now, "injected crash")
+                continue
+            else:  # MACHINE_FAULT
+                handle_machine_fault(item, time_now)
+                continue
+            if not runtime.running:
+                maybe_start(runtime, time_now)
 
         if obs_on:
             tracer.finalize(makespan)
@@ -1136,8 +1151,7 @@ class Simulator:
                     ).set(machine_busy.get(machine.machine_id, 0.0))
 
         if recovery_on:
-            for resequencer in link_reseq.values():
-                stats.duplicates_filtered += resequencer.duplicates
-                resequencer.duplicates = 0
+            for out in routes:
+                stats.duplicates_filtered += out.reset()
 
         return build_report()

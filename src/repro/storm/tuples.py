@@ -10,15 +10,13 @@ compiled topologies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.operators.base import Event
 
 
-@dataclass(frozen=True)
-class StormTuple:
-    """One tuple on the wire."""
+class StormTuple(NamedTuple):
+    """One tuple on the wire (immutable; compares and hashes by value)."""
 
     event: Event
     src_component: str

@@ -66,6 +66,37 @@ class TestStormTuple:
         tup = StormTuple(Marker(1), "src", 0)
         assert "src[0]" in repr(tup)
 
+    def test_value_equality_and_hash(self):
+        a = StormTuple(KV("a", 1), "comp", 3)
+        b = StormTuple(KV("a", 1), "comp", 3)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != StormTuple(KV("a", 1), "comp", 4)
+        assert a != StormTuple(KV("a", 2), "comp", 3)
+        assert len({a, b}) == 1
+
+    def test_fields_by_name(self):
+        tup = StormTuple(KV("a", 1), "comp", 3)
+        assert tup.event == KV("a", 1)
+        assert tup.src_component == "comp"
+        assert tup.src_task == 3
+
+    def test_immutable(self):
+        tup = StormTuple(KV("a", 1), "comp", 3)
+        with pytest.raises(AttributeError):
+            tup.src_task = 4
+        with pytest.raises(AttributeError):
+            tup.event = Marker(2)
+        assert tup.src_task == 3
+
+    def test_exact_repr(self):
+        assert repr(StormTuple(KV("a", 1), "comp", 3)) == (
+            "Tuple(KV('a', 1) from comp[3])"
+        )
+        assert repr(StormTuple(Marker(2), "src", 0)) == (
+            "Tuple(Marker(2) from src[0])"
+        )
+
 
 class TestTraceTypeConstructors:
     def test_channels_type_arity_check(self):

@@ -27,7 +27,9 @@ from repro.operators.base import KV, Marker
 from repro.storm import Cluster, Simulator
 from repro.storm.batching import BatchingOptions
 from repro.storm.costs import PerComponentCostModel
-from repro.storm.faults import EdgeFaults, FaultPlan, demo_plan
+from repro.storm.faults import (
+    CrashFault, EdgeFaults, FaultPlan, MachineFault, demo_plan,
+)
 from repro.storm.groupings import MarkerAwareGrouping
 from repro.storm.recovery import RecoveryOptions
 from repro.storm.topology import Bolt, CaptureBolt, IteratorSpout, TopologyBuilder
@@ -132,6 +134,17 @@ CONFIGS = {
     "per-tuple/remote-cpu": lambda: run_q3(remote_cpu=2e-6),
     "micro-batch/remote-cpu": lambda: run_q3(batched=True, remote_cpu=2e-6),
     "plain-bolts": run_plain,
+    # Time-triggered faults: a task crash, then a transient machine
+    # failure that must survive the first rollback's heap purge.
+    "time-faults+recovery/per-tuple": lambda: run_q3(
+        faults=FaultPlan(
+            crashes=(CrashFault("Locate", task=1, at_time=1.5e-3),),
+            machine_faults=(MachineFault(1, at_time=6e-3),),
+            default_edge=EdgeFaults(drop=0.02, duplicate=0.02, reorder=0.05),
+            seed=SEED,
+        ),
+        recovery=RecoveryOptions(checkpoint_every=1),
+    ),
 }
 
 #: Any change here is a change of the simulated schedule, not a refactor.
@@ -149,6 +162,7 @@ GOLDEN = {
     "per-tuple/remote-cpu": "9cf54345b7d02d13b51428e7509ca2b608ff9376",
     "micro-batch/remote-cpu": "66cf9b31b2e6355a4f95fa8971da9e7c8f7cafcc",
     "plain-bolts": "3c75f6638755efb6daba0d00fdf41c494693783a",
+    "time-faults+recovery/per-tuple": "91c4bade1484ab79ba906160871f5993c99ff61f",
 }
 
 
@@ -159,13 +173,17 @@ def test_schedule_matches_golden(name):
 
 def test_fault_configs_engage():
     """The pinned fault runs really roll back, retransmit and lose
-    tuples, so their digests cover the recovery and raw-fault paths."""
+    tuples, so their digests cover the recovery and raw-fault paths;
+    the time-triggered run rolls back twice, so its second fault
+    survived the first rollback's heap purge."""
     for name in ("demo-faults+recovery/per-tuple",
                  "demo-faults+recovery/micro-batch"):
         stats = CONFIGS[name]().recovery
         assert stats.recoveries >= 1, name
         assert stats.retransmissions >= 1, name
         assert stats.duplicates_filtered >= 1, name
+    timed = CONFIGS["time-faults+recovery/per-tuple"]().recovery
+    assert timed.recoveries == 2
     raw = CONFIGS["edge-faults/no-recovery"]()
     clean = CONFIGS["per-tuple"]()
     assert raw.recovery.reordered >= 1
