@@ -14,7 +14,11 @@ power consumption over the next ten minutes using a regression tree:
 
 from repro.apps.smarthomes.events import PlugReading, SmartHomesWorkload
 from repro.apps.smarthomes.pipeline import smart_homes_dag, smart_homes_costs
-from repro.apps.smarthomes.prediction import train_predictor, make_features
+from repro.apps.smarthomes.prediction import (
+    make_features,
+    predictor_digest,
+    train_predictor,
+)
 
 __all__ = [
     "PlugReading",
@@ -23,4 +27,5 @@ __all__ = [
     "smart_homes_costs",
     "train_predictor",
     "make_features",
+    "predictor_digest",
 ]

@@ -10,6 +10,7 @@ the same load model, so train and test distributions agree.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Dict, List, Sequence, Tuple
 
@@ -60,3 +61,13 @@ def train_predictor(
             max_depth=8, min_samples_split=20, seed=seed
         ).fit(X, y)
     return models
+
+
+def predictor_digest(models: Dict[str, RepTree]) -> str:
+    """sha1 over ``repr((device_type, tree.structure()))`` in sorted
+    device-type order: equal digests mean bit-identical trees (the
+    golden digests in ``tests/test_reptree_golden.py`` use it)."""
+    digest = hashlib.sha1()
+    for device_type in sorted(models):
+        digest.update(repr((device_type, models[device_type].structure())).encode())
+    return digest.hexdigest()

@@ -15,12 +15,36 @@ This implementation covers the regression case:
 - optional reduced-error pruning against a held-out fraction of the
   training data: a subtree is collapsed to its mean when that does not
   hurt held-out squared error.
+
+Split search.  A node sorts its samples once per feature and keeps
+prefix sums of the centred labels ``c = y - mean(y)`` in that order.  A
+threshold that puts ``k`` of the ``n`` samples on the left, with left
+label sum ``S``, then has approximate score ``S²/k + (T - S)²/(n - k)``
+(``T`` the total), found with one bisection.  In real arithmetic that
+is the variance reduction plus the constant ``T²/n``.  Only candidates
+scoring within a slack of the best score are evaluated exactly: the
+two-pass ``_sse`` over the left and right labels in sample order, in the
+order the thresholds are drawn, keeping the first candidate whose gain
+strictly exceeds the best so far.
+
+The result is the split an exhaustive exact scan would pick.  Both the
+score and the exact gain are off from their real values by at most a
+few ``n·u`` times the node's SSE plus ``n³u²·max|y|²`` from the rounded
+means (``u`` the unit roundoff).  The slack is far larger than twice
+that for fewer than 10⁷ samples.  So a candidate outside the slack has
+an exact gain below that of the best-scoring candidate, which is inside
+it: it can neither be nor precede the first exact maximum.  The
+thresholds and RNG draws are the exhaustive scan's, so the trees are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
@@ -43,9 +67,17 @@ class _Node:
 
     def predict(self, x: Vector) -> float:
         node = self
-        while not node.is_leaf():
+        while node.left is not None:
             node = node.left if x[node.feature] <= node.threshold else node.right
         return node.value
+
+    def structure(self) -> tuple:
+        if self.left is None:
+            return ("L", self.value)
+        return (
+            self.feature, self.threshold, self.value,
+            self.left.structure(), self.right.structure(),
+        )
 
     def depth(self) -> int:
         if self.is_leaf():
@@ -112,6 +144,15 @@ class RepTree:
         if len(X) != len(y) or not X:
             raise ModelError("fit requires equal-length, non-empty X and y")
         self._n_features = len(X[0])
+        for i, row in enumerate(X):
+            if len(row) != self._n_features:
+                raise ModelError(
+                    f"row {i} has {len(row)} features, expected {self._n_features}"
+                )
+            if not all(map(math.isfinite, row)):
+                raise ModelError(f"row {i} has a non-finite feature: {list(row)}")
+        if not all(map(math.isfinite, y)):
+            raise ModelError("fit requires finite labels")
         rng = random.Random(self.seed)
         indices = list(range(len(X)))
         rng.shuffle(indices)
@@ -156,17 +197,24 @@ class RepTree:
             raise ModelError("n_nodes before fit")
         return self._root.size()
 
+    def structure(self) -> tuple:
+        """The fitted tree as nested tuples: a split is ``(feature,
+        threshold, value, left, right)`` and a leaf ``("L", value)``.
+        Its ``repr`` identifies the tree bit for bit."""
+        if self._root is None:
+            raise ModelError("structure before fit")
+        return self._root.structure()
+
     # ------------------------------------------------------------------
 
     def _grow(self, X, y, depth, min_variance, rng) -> _Node:
         node = _Node(value=_mean(y))
-        if (
-            len(y) < self.min_samples_split
-            or (0 <= self.max_depth <= depth)
-            or _sse(y) / len(y) <= min_variance
-        ):
+        if len(y) < self.min_samples_split or (0 <= self.max_depth <= depth):
             return node
-        best = self._best_split(X, y, rng)
+        base = _sse(y)
+        if base / len(y) <= min_variance:
+            return node
+        best = self._best_split(X, y, rng, base)
         if best is None:
             return node
         feature, threshold, left_idx, right_idx = best
@@ -182,13 +230,23 @@ class RepTree:
         )
         return node
 
-    def _best_split(self, X, y, rng) -> Optional[Tuple[int, float, List[int], List[int]]]:
-        base = _sse(y)
-        best_gain = 1e-12
-        best = None
+    def _best_split(
+        self, X, y, rng, base
+    ) -> Optional[Tuple[int, float, List[int], List[int]]]:
+        """The first candidate of maximal exact gain, or None; ``base`` is
+        ``_sse(y)``.  See the module docstring for why it is exact."""
         n = len(y)
+        mean = _mean(y)
+        centred = [v - mean for v in y]
+        # Both error terms of the module docstring, with a wide margin.
+        top = max(max(y), -min(y))
+        slack = 1e-7 * (base + 1.0) + n * (n * 1e-14 * top) ** 2
+        columns = []
+        candidates = []  # (approximate score, feature, threshold)
         for feature in range(self._n_features):
-            values = sorted({x[feature] for x in X})
+            column = [x[feature] for x in X]
+            columns.append(column)
+            values = sorted(set(column))
             if len(values) < 2:
                 continue
             midpoints = [
@@ -196,17 +254,36 @@ class RepTree:
             ]
             if len(midpoints) > self.max_thresholds:
                 midpoints = rng.sample(midpoints, self.max_thresholds)
+            order = sorted(range(n), key=column.__getitem__)
+            ordered = [column[i] for i in order]
+            prefix = list(accumulate([centred[i] for i in order]))
+            total = prefix[-1]
             for threshold in midpoints:
-                left_idx = [i for i in range(n) if X[i][feature] <= threshold]
-                if not left_idx or len(left_idx) == n:
+                k = bisect_right(ordered, threshold)  # samples <= threshold
+                if k == 0 or k == n:
                     continue
-                right_idx = [i for i in range(n) if X[i][feature] > threshold]
-                gain = base - _sse([y[i] for i in left_idx]) - _sse(
-                    [y[i] for i in right_idx]
+                left = prefix[k - 1]
+                right = total - left
+                candidates.append(
+                    (left * left / k + right * right / (n - k), feature, threshold)
                 )
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (feature, threshold, left_idx, right_idx)
+        if not candidates:
+            return None
+        cutoff = max(candidates)[0] - slack
+        best_gain = 1e-12
+        best = None
+        for score, feature, threshold in candidates:
+            if score < cutoff:
+                continue
+            column = columns[feature]
+            left_idx = [i for i in range(n) if column[i] <= threshold]
+            right_idx = [i for i in range(n) if column[i] > threshold]
+            gain = base - _sse([y[i] for i in left_idx]) - _sse(
+                [y[i] for i in right_idx]
+            )
+            if gain > best_gain:
+                best_gain = gain
+                best = (feature, threshold, left_idx, right_idx)
         return best
 
     def _rep_prune(self, node: _Node, X, y) -> float:

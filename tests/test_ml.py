@@ -53,6 +53,8 @@ class TestRepTree:
     def test_predict_before_fit(self):
         with pytest.raises(ModelError):
             RepTree().predict([1.0])
+        with pytest.raises(ModelError):
+            RepTree().structure()
 
     def test_feature_arity_checked(self):
         X, y = self.make_data()
@@ -63,6 +65,25 @@ class TestRepTree:
     def test_empty_fit_rejected(self):
         with pytest.raises(ModelError):
             RepTree().fit([], [])
+
+    def test_short_row_rejected(self):
+        X, y = self.make_data(n=20)
+        X[7] = X[7][:1]
+        with pytest.raises(ModelError, match="row 7"):
+            RepTree().fit(X, y)
+
+    def test_nan_label_rejected(self):
+        X, y = self.make_data(n=20)
+        y[3] = math.nan
+        with pytest.raises(ModelError, match="finite labels"):
+            RepTree().fit(X, y)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        X, y = self.make_data(n=20)
+        X[5][1] = bad
+        with pytest.raises(ModelError, match="row 5"):
+            RepTree().fit(X, y)
 
     def test_deterministic_given_seed(self):
         X, y = self.make_data()
