@@ -10,7 +10,10 @@ marker the aggregate is incorporated into the per-key state by the pure
 The runtime below is a direct transcription of Table 3, including the
 subtle ``startS`` bookkeeping: a key first seen after ``k`` markers must
 start from ``initial_state`` advanced by ``k`` empty aggregates, so that
-all keys stay logically synchronized.
+all keys stay logically synchronized.  ``handle`` and ``handle_batch``
+share one marker step, :meth:`OpKeyedUnordered.seal`; a fused marker
+kernel overrides only that (``library.SlidingAggregate`` advances a
+two-stacks record of block aggregates per key there).
 
 The programmer overrides the seven pure/side-effecting pieces:
 ``fold_in`` (Table 1's ``in``), ``identity`` (``id``), ``combine``,
@@ -180,14 +183,23 @@ class OpKeyedUnordered(Operator):
             )
         return state
 
+    def seal(self, state: _KeyedUnorderedState, m: Marker, out: List[Event]) -> None:
+        """Table 3's marker step, in ``state_map`` order; emits into ``out``."""
+
+        def emit(key, value, _append=out.append, _new=tuple.__new__):
+            _append(_new(KV, (key, value)))
+
+        update_state, identity = self.update_state, self.identity
+        for key, record in state.state_map.items():
+            record.state = update_state(record.state, record.agg)
+            record.agg = identity()
+            self.on_marker(record.state, key, m, emit)
+        state.start_state = update_state(state.start_state, identity())
+
     def handle(self, state: _KeyedUnorderedState, event: Event) -> List[Event]:
         if isinstance(event, Marker):
-            for key, record in state.state_map.items():
-                record.state = self.update_state(record.state, record.agg)
-                record.agg = self.identity()
-                self.on_marker(record.state, key, event, state.emitter.emit)
-            state.start_state = self.update_state(state.start_state, self.identity())
-            out: List[Event] = list(state.emitter.drain())
+            out: List[Event] = []
+            self.seal(state, event, out)
             out.append(event)
             return out
         key = event.key
@@ -229,13 +241,7 @@ class OpKeyedUnordered(Operator):
         while i < n:
             event = events[i]
             if type(event) is Marker:
-                for key, record in state_map.items():
-                    record.state = self.update_state(record.state, record.agg)
-                    record.agg = self.identity()
-                    self.on_marker(record.state, key, event, emit)
-                state.start_state = self.update_state(
-                    state.start_state, self.identity()
-                )
+                self.seal(state, event, out)
                 out.append(event)
                 i += 1
                 continue

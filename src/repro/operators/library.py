@@ -12,7 +12,9 @@ the building blocks the evaluation queries are assembled from:
   ``sumOp`` of Figure 2 with one-block windows).
 - :class:`SlidingAggregate` — per-key aggregation over the last ``w``
   blocks, emitted at every marker (Query IV's 10-second windows with
-  1-second markers).
+  1-second markers).  It overrides only the template's marker step, with
+  one loop that advances each key's two-stacks record of block
+  aggregates.
 - :class:`RunningAggregate` — per-key aggregation over the entire
   history, emitted at every marker (Query III's whole-history
   summarization; the ``maxOfAvgPerID`` pattern of Table 2).
@@ -23,8 +25,7 @@ the building blocks the evaluation queries are assembled from:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.operators.base import KV, Event, Marker
 from repro.operators.keyed_ordered import OpKeyedOrdered
@@ -248,14 +249,36 @@ class RunningAggregate(OpKeyedUnordered):
             emit(key, result)
 
 
+class _TwoStacks:
+    """One key's window of block aggregates, as two stacks.
+
+    ``front`` holds suffix aggregates of the older blocks (its top
+    aggregates the whole front, oldest block first); ``back`` holds the
+    younger blocks' values and ``back_agg`` their running aggregate.
+    """
+
+    __slots__ = ("front", "back", "back_agg")
+
+    def __init__(self, identity: Any):
+        self.front: List[Any] = []
+        self.back: List[Any] = []
+        self.back_agg = identity
+
+
 class SlidingAggregate(OpKeyedUnordered):
     """Per-key aggregate over the last ``window`` blocks, per marker.
 
-    The per-key state is a bounded deque of block aggregates; at each
-    marker the deque advances by one block and ``finish`` is applied to
-    the fold of the retained blocks.  With 1-second markers and
-    ``window=10`` this is exactly Query IV's "views in the last 10
-    seconds, updated every second".
+    With 1-second markers and ``window=10`` this is exactly Query IV's
+    "views in the last 10 seconds, updated every second".  The marker
+    step is one fused kernel (:meth:`seal`): each key's state is a
+    two-stacks record of its block aggregates, so advancing a window
+    costs amortized three ``combine`` calls and no template-hook
+    dispatch.  Regrouping the window's fold that way is licensed by the
+    monoid's associativity.  A key first seen late starts from an empty
+    window rather than one of identity blocks; by the identity law both
+    fold to the same aggregate.  The two-stacks steps are inlined: going
+    through ``window_algorithms.TwoStacksAggregator``'s methods made
+    Query IV's ``Count10s`` blocks 1.34x slower than this loop.
     """
 
     def __init__(
@@ -288,23 +311,38 @@ class SlidingAggregate(OpKeyedUnordered):
         return self._combine(x, y)
 
     def init(self):
-        return ()  # immutable tuple of recent block aggregates
+        return None  # a key's two-stacks record is made at its first seal
 
-    def update_state(self, old_state, agg):
-        blocks = old_state + (agg,)
-        if len(blocks) > self._window:
-            blocks = blocks[-self._window:]
-        return blocks
-
-    def on_marker(self, new_state, key, m: Marker, emit):
-        acc = self._identity
-        for block_agg in new_state:
-            acc = self._combine(acc, block_agg)
-        if acc == self._identity and not self._emit_empty:
-            return
-        result = self._finish(key, acc, m.timestamp)
-        if result is not None:
-            emit(key, result)
+    def seal(self, state, m: Marker, out: List[Event]) -> None:
+        """Push each key's block aggregate, evict past ``window``, emit."""
+        window, identity, combine = self._window, self._identity, self._combine
+        finish, emit_empty, timestamp = self._finish, self._emit_empty, m.timestamp
+        append, new = out.append, tuple.__new__
+        for key, record in state.state_map.items():
+            stacks = record.state
+            if stacks is None:
+                stacks = record.state = _TwoStacks(identity)
+            front, back = stacks.front, stacks.back
+            agg = record.agg
+            record.agg = identity
+            back.append(agg)
+            back_agg = combine(stacks.back_agg, agg)
+            if len(front) + len(back) > window:
+                if not front:  # flip: the oldest block ends on top
+                    acc = identity
+                    for value in reversed(back):
+                        acc = combine(value, acc)
+                        front.append(acc)
+                    back.clear()
+                    back_agg = identity
+                front.pop()
+            stacks.back_agg = back_agg
+            acc = combine(front[-1], back_agg) if front else back_agg
+            if acc == identity and not emit_empty:
+                continue
+            result = finish(key, acc, timestamp)
+            if result is not None:
+                append(new(KV, (key, result)))
 
 
 def tumbling_count(name: str = "count") -> TumblingAggregate:

@@ -1,6 +1,8 @@
 """The Figure 3 multi-source form of Query IV, and hand-vs-generated
 cross-validation on persisted state (Query II)."""
 
+import hashlib
+
 import pytest
 
 from repro.apps.yahoo.events import YahooWorkload
@@ -14,6 +16,7 @@ from repro.operators.base import KV, Marker
 from repro.operators.merge import Merge
 from repro.storm import LocalRunner
 from repro.storm.local import events_to_trace
+from repro.storm.recovery import split_epochs
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +39,34 @@ def split_stream(events, n_sources):
             parts[data_seen % n_sources].append(event)
             data_seen += 1
     return parts
+
+
+#: sha1 of the in-process sink output (its ``repr``) of the 8-source
+#: Query IV below; the same for ``push`` and ``push_batch``.  It pins the
+#: Count10s window kernel: a change that moves one count, or the order
+#: in which keys emit, is a change of Query IV's output.
+QUERY4_SINK_DIGEST = "0c5d78baa1b50764076d9e4d59bf20f6f7e352df"
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["push", "push_batch"])
+def test_query4_multi_source_sink_digest(batched):
+    """Each second's events dealt round-robin over 8 sources, every
+    source closing the epoch with its own marker."""
+    workload = YahooWorkload(seconds=30, events_per_second=60, seed=7)
+    pipe = compile_inprocess(
+        query4_multi_source(workload.make_database(), 8), batched=batched
+    )
+    for block in split_epochs(workload.events()):
+        marker, items = block[-1], block[:-1]
+        for i in range(8):
+            part = items[i::8] + [marker]
+            if batched:
+                pipe.push_batch(f"Yahoo{i}", part)
+            else:
+                for event in part:
+                    pipe.push(f"Yahoo{i}", event)
+    digest = hashlib.sha1(repr(pipe.outputs("SINK")).encode()).hexdigest()
+    assert digest == QUERY4_SINK_DIGEST
 
 
 class TestFigure3MultiSource:

@@ -5,8 +5,9 @@ give one schedule.  The parity suites compare canonical sink traces (or
 two runs of the same code); this file instead pins a digest of the
 *schedule itself* — makespan, per-component counts, every sink delivery
 time, per-machine busy time and the recovery accounting — for Query III
-under each execution mode.  A refactor of the simulator's execution
-paths must leave every digest unchanged.
+under each execution mode, and for Query IV micro-batched with combiners.
+A refactor of the simulator's execution paths, or of an operator kernel,
+must leave every digest unchanged.
 
 Keys are routed through the FNV ``default_key_hash``, so the digests do
 not depend on ``PYTHONHASHSEED``.
@@ -19,7 +20,7 @@ import hashlib
 import pytest
 
 from repro.apps.yahoo.events import YahooWorkload
-from repro.apps.yahoo.queries import query3, query3_costs
+from repro.apps.yahoo.queries import query3, query3_costs, query4, query4_costs
 from repro.compiler import compile_dag
 from repro.compiler.compile import source_from_events
 from repro.obs import ObsContext
@@ -72,6 +73,22 @@ def run_q3(batched=False, faults=None, recovery=None, obs=None,
         faults=faults, recovery=recovery, obs=obs,
     )
     return simulator.run()
+
+
+def run_q4_batched():
+    """Query IV on the same input, micro-batched with the typed combiner,
+    so pre-folded ``CombinedAgg`` values reach the Count10s window
+    kernel."""
+    workload = YahooWorkload(seconds=20, events_per_second=30, seed=SEED)
+    compiled = compile_dag(
+        query4(workload.make_database(), 4),
+        {"events": source_from_events(workload.events(), 2)},
+    )
+    return Simulator(
+        compiled.topology, Cluster(2, cores_per_machine=2),
+        cost_model=query4_costs(), seed=SEED,
+        batching=BatchingOptions.for_compiled(compiled),
+    ).run()
 
 
 class Double(Bolt):
@@ -145,6 +162,7 @@ CONFIGS = {
         ),
         recovery=RecoveryOptions(checkpoint_every=1),
     ),
+    "query4/micro-batch+combiners": run_q4_batched,
 }
 
 #: Any change here is a change of the simulated schedule, not a refactor.
@@ -163,6 +181,7 @@ GOLDEN = {
     "micro-batch/remote-cpu": "66cf9b31b2e6355a4f95fa8971da9e7c8f7cafcc",
     "plain-bolts": "3c75f6638755efb6daba0d00fdf41c494693783a",
     "time-faults+recovery/per-tuple": "91c4bade1484ab79ba906160871f5993c99ff61f",
+    "query4/micro-batch+combiners": "0bd9e93d42769090ae1ac147e1468074255eab17",
 }
 
 
