@@ -3,23 +3,51 @@ proposed specialized template).
 
 Unlike the figure benchmarks (simulated time), this is a real CPU
 microbenchmark: per-marker window maintenance with the two-stacks
-algorithm vs. naive refolding, over a long window of a non-invertible
-monoid (max).  The two-stacks algorithm is amortized O(1) per marker
-while refolding is O(window), so the gap widens with the window length.
+kernel of ``library.SlidingAggregate`` vs. naive refolding, over a long
+window of a non-invertible monoid (max).  The two-stacks algorithm is
+amortized O(1) per marker while refolding is O(window), so the gap
+widens with the window length.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 
 from repro.operators.base import KV, Marker
-from repro.operators.sliding import sliding_window
+from repro.operators.keyed_unordered import OpKeyedUnordered
+from repro.operators.library import SlidingAggregate, sliding_window
 
 WINDOW = 256
 BLOCKS = 600
 KEYS = 4
+
+
+class RefoldSliding(SlidingAggregate):
+    """The refold baseline: each key keeps its last ``window`` block
+    aggregates and refolds all of them at every marker, through the
+    template's generic marker step."""
+
+    seal = OpKeyedUnordered.seal
+
+    def init(self):
+        return ()
+
+    def update_state(self, old_state, agg):
+        return (old_state + (agg,))[-self._window:]
+
+    def on_marker(self, new_state, key, m, emit):
+        acc = reduce(self.combine, new_state, self.identity())
+        if acc == self.identity():
+            return
+        result = self.finish(key, acc, m.timestamp)
+        if result is not None:
+            emit(key, result)
+
+
+ALGORITHMS = {"two-stacks": sliding_window, "recompute": RefoldSliding}
 
 
 def make_stream():
@@ -33,12 +61,11 @@ def make_stream():
 
 
 def run(algorithm: str, stream):
-    op = sliding_window(
+    op = ALGORITHMS[algorithm](
         WINDOW,
         inject=lambda k, v: v,
         identity_elem=-1,
         combine_fn=max,
-        algorithm=algorithm,
     )
     return op.run(stream)
 

@@ -31,8 +31,6 @@ TEMPLATE_BASES: Dict[str, str] = {
     "StatelessFn": STATELESS,
     "OpKeyedUnordered": KEYED_UNORDERED,
     "OpKeyedOrdered": KEYED_ORDERED,
-    "OpSlidingWindow": SLIDING,
-    "SlidingWindowFn": SLIDING,
     # library subclasses that keep the template callback signatures
     "MapPairsFn": STATELESS,
     "TableJoin": STATELESS,

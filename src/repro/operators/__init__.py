@@ -18,7 +18,8 @@ and :class:`HashSplit` (``HASH``), between-marker :class:`SortOp`
 
 :mod:`repro.operators.library` layers common streaming idioms (map,
 filter, tumbling/sliding window aggregation, stream-table join) on top of
-the templates.
+the templates; its ``SlidingAggregate`` (built by :func:`sliding_window`
+and :func:`sliding_max`) is the conclusion's sliding-window template.
 """
 
 from repro.operators.base import Operator, Emitter, KV
@@ -33,13 +34,7 @@ from repro.operators.merge import Merge
 from repro.operators.split import RoundRobinSplit, HashSplit, UnqSplit, Splitter
 from repro.operators.sort import SortOp
 from repro.operators.identity import identity_op, IdentityOp
-from repro.operators.sliding import OpSlidingWindow, SlidingWindowFn, sliding_window, sliding_max
-from repro.operators.window_algorithms import (
-    SlidingWindowAggregator,
-    TwoStacksAggregator,
-    RecomputeAggregator,
-    make_aggregator,
-)
+from repro.operators.library import sliding_window, sliding_max
 from repro.operators.validate import validate_operator
 from repro.operators import library
 from repro.operators import joins
@@ -62,14 +57,8 @@ __all__ = [
     "SortOp",
     "identity_op",
     "IdentityOp",
-    "OpSlidingWindow",
-    "SlidingWindowFn",
     "sliding_window",
     "sliding_max",
-    "SlidingWindowAggregator",
-    "TwoStacksAggregator",
-    "RecomputeAggregator",
-    "make_aggregator",
     "validate_operator",
     "joins",
     "library",

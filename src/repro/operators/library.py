@@ -12,9 +12,10 @@ the building blocks the evaluation queries are assembled from:
   ``sumOp`` of Figure 2 with one-block windows).
 - :class:`SlidingAggregate` — per-key aggregation over the last ``w``
   blocks, emitted at every marker (Query IV's 10-second windows with
-  1-second markers).  It overrides only the template's marker step, with
-  one loop that advances each key's two-stacks record of block
-  aggregates.
+  1-second markers).  It is the paper conclusion's specialized
+  sliding-window template: it overrides only the template's marker step,
+  with one loop that advances each key's two-stacks record of block
+  aggregates.  :func:`sliding_window` and :func:`sliding_max` build it.
 - :class:`RunningAggregate` — per-key aggregation over the entire
   history, emitted at every marker (Query III's whole-history
   summarization; the ``maxOfAvgPerID`` pattern of Table 2).
@@ -265,6 +266,10 @@ class _TwoStacks:
         self.back_agg = identity
 
 
+def _pass_through(key, agg, timestamp):
+    return agg
+
+
 class SlidingAggregate(OpKeyedUnordered):
     """Per-key aggregate over the last ``window`` blocks, per marker.
 
@@ -274,11 +279,19 @@ class SlidingAggregate(OpKeyedUnordered):
     two-stacks record of its block aggregates, so advancing a window
     costs amortized three ``combine`` calls and no template-hook
     dispatch.  Regrouping the window's fold that way is licensed by the
-    monoid's associativity.  A key first seen late starts from an empty
-    window rather than one of identity blocks; by the identity law both
-    fold to the same aggregate.  The two-stacks steps are inlined: going
-    through ``window_algorithms.TwoStacksAggregator``'s methods made
-    Query IV's ``Count10s`` blocks 1.34x slower than this loop.
+    monoid's associativity, so any associative ``combine`` works,
+    invertible or not (``max`` too).  A key first seen late starts from
+    an empty window rather than one of identity blocks; by the identity
+    law both fold to the same aggregate.  The two-stacks steps are
+    inlined: an earlier separate two-stacks aggregator class, called
+    through its methods, made Query IV's ``Count10s`` blocks 1.34x
+    slower than this loop.
+
+    ``finish(key, agg, marker_ts)`` maps the window aggregate to the
+    emitted value (``None`` skips the emission); without one the
+    aggregate itself is emitted.  A subclass may override the
+    ``fold_in`` / ``identity`` / ``combine`` / ``finish`` hooks instead;
+    the marker step then calls the overrides too.
     """
 
     def __init__(
@@ -287,7 +300,7 @@ class SlidingAggregate(OpKeyedUnordered):
         inject: Callable[[Any, Any], Any],
         identity_elem: Any,
         combine_fn: Callable[[Any, Any], Any],
-        finish: Callable[[Any, Any, Any], Any],
+        finish: Optional[Callable[[Any, Any, Any], Any]] = None,
         emit_empty: bool = False,
         name: str = "sliding",
     ):
@@ -297,7 +310,7 @@ class SlidingAggregate(OpKeyedUnordered):
         self._inject = inject
         self._identity = identity_elem
         self._combine = combine_fn
-        self._finish = finish
+        self._finish = _pass_through if finish is None else finish
         self._emit_empty = emit_empty
         self.name = name
 
@@ -310,13 +323,27 @@ class SlidingAggregate(OpKeyedUnordered):
     def combine(self, x, y):
         return self._combine(x, y)
 
+    def finish(self, key, agg, timestamp):
+        return self._finish(key, agg, timestamp)
+
     def init(self):
         return None  # a key's two-stacks record is made at its first seal
 
     def seal(self, state, m: Marker, out: List[Event]) -> None:
         """Push each key's block aggregate, evict past ``window``, emit."""
-        window, identity, combine = self._window, self._identity, self._combine
-        finish, emit_empty, timestamp = self._finish, self._emit_empty, m.timestamp
+        # Resolve the hooks once per marker: the constructor's functions
+        # unless a subclass overrides a hook, as the item path sees them.
+        cls = type(self)
+        combine = (
+            self._combine if cls.combine is SlidingAggregate.combine
+            else self.combine
+        )
+        finish = (
+            self._finish if cls.finish is SlidingAggregate.finish
+            else self.finish
+        )
+        window, identity = self._window, self.identity()
+        emit_empty, timestamp = self._emit_empty, m.timestamp
         append, new = out.append, tuple.__new__
         for key, record in state.state_map.items():
             stacks = record.state
@@ -366,6 +393,29 @@ def sliding_count(window: int, name: str = "count") -> SlidingAggregate:
         finish=lambda key, total, ts: total,
         name=name,
     )
+
+
+def sliding_window(
+    window: int,
+    inject: Callable[[Any, Any], Any],
+    identity_elem: Any,
+    combine_fn: Callable[[Any, Any], Any],
+    finish: Optional[Callable[[Any, Any, Any], Any]] = None,
+    name: str = "slidingWindow",
+) -> SlidingAggregate:
+    """Per-key fold of the last ``window`` blocks (see :class:`SlidingAggregate`)."""
+    return SlidingAggregate(window, inject, identity_elem, combine_fn, finish, name=name)
+
+
+def _max_or_none(x, y):
+    return y if x is None else (x if y is None else max(x, y))
+
+
+def sliding_max(window: int, name: str = "slidingMax") -> SlidingAggregate:
+    """Per-key max over the last ``window`` blocks, with ``None`` as the
+    identity: max has no inverse, yet the window still advances in
+    amortized O(1)."""
+    return SlidingAggregate(window, lambda k, v: v, None, _max_or_none, name=name)
 
 
 class MaxOfAvgPerKey(OpKeyedUnordered):

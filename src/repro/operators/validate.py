@@ -6,8 +6,9 @@ commutative, the pure functions must actually be pure, and
 ``OpKeyedOrdered`` emissions must preserve keys (that one *is* enforced
 at runtime).  :func:`validate_operator` spot-checks what can be checked:
 
-- for :class:`OpKeyedUnordered` / :class:`OpSlidingWindow` subclasses,
-  the monoid laws on aggregates derived from sample events;
+- for :class:`OpKeyedUnordered` subclasses (the sliding-window template
+  ``library.SlidingAggregate`` among them), the monoid laws on
+  aggregates derived from sample events;
 - for any operator, Definition 3.5 consistency over random
   dependence-respecting shuffles of sample streams.
 

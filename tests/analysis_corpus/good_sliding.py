@@ -1,6 +1,6 @@
-"""A clean OpSlidingWindow: max over the last two blocks."""
+"""A clean SlidingAggregate subclass: max over the last two blocks."""
 
-from repro.operators.sliding import OpSlidingWindow
+from repro.operators.library import SlidingAggregate
 
 EXPECT_STATIC = ()
 EXPECT_DYNAMIC = ()
@@ -8,9 +8,10 @@ EXPECT_DYNAMIC = ()
 _NEG_INF = float("-inf")
 
 
-class MaxOverTwoBlocks(OpSlidingWindow):
-    name = "max-over-two"
-    window = 2
+class MaxOverTwoBlocks(SlidingAggregate):
+    def __init__(self):
+        # The hook overrides below replace the constructor's functions.
+        super().__init__(2, None, _NEG_INF, None, name="max-over-two")
 
     def fold_in(self, key, value):
         return value

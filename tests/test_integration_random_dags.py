@@ -34,9 +34,9 @@ from repro.operators.library import (
     map_values,
     rekey,
     sliding_count,
+    sliding_window,
     tumbling_count,
 )
-from repro.operators.sliding import sliding_window
 from repro.operators.sort import SortOp
 from repro.storm import LocalRunner
 from repro.storm.local import events_to_trace

@@ -1,78 +1,60 @@
-"""The specialized sliding-window template and its window algorithms
-(the conclusion's proposed template extension)."""
+"""The specialized sliding-window template (the conclusion's proposed
+template extension): ``sliding_window`` / ``sliding_max`` build
+``library.SlidingAggregate``, checked against the left-fold oracle."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.operators.base import KV, Marker
-from repro.operators.library import sliding_count
-from repro.operators.sliding import OpSlidingWindow, sliding_max, sliding_window
-from repro.operators.window_algorithms import (
-    RecomputeAggregator,
-    TwoStacksAggregator,
-    make_aggregator,
+from repro.operators.library import (
+    SlidingAggregate,
+    sliding_count,
+    sliding_max,
+    sliding_window,
 )
 from repro.traces.blocks import BlockTrace
 
 from conftest import event_streams, shuffle_within_blocks
+from test_sliding_kernel import LeftFoldSliding
+
+
+def kvs(out):
+    return [e for e in out if isinstance(e, KV)]
+
+
+def block_stream(values):
+    """One item of key ``"k"`` per block."""
+    stream = []
+    for block, value in enumerate(values, start=1):
+        stream += [KV("k", value), Marker(block)]
+    return stream
 
 
 class TestWindowAlgorithms:
-    @pytest.mark.parametrize("algorithm", ["two-stacks", "recompute"])
-    def test_basic_fifo_aggregation(self, algorithm):
-        agg = make_aggregator(0, lambda a, b: a + b, algorithm)
-        for v in (1, 2, 3):
-            agg.insert(v)
-        assert agg.query() == 6
-        assert agg.evict() == 1
-        assert agg.query() == 5
-        assert len(agg) == 2
+    """The window maintenance itself: the two-stacks kernel and the
+    refolding oracle on small hand-checked windows."""
+
+    @pytest.mark.parametrize(
+        "cls", [SlidingAggregate, LeftFoldSliding], ids=["two-stacks", "recompute"]
+    )
+    def test_basic_fifo_aggregation(self, cls):
+        op = cls(3, lambda k, v: v, 0, lambda a, b: a + b)
+        out = op.run(block_stream([1, 2, 3]) + [Marker(4)])
+        # windows [1], [1,2], [1,2,3], then the oldest block is evicted
+        assert kvs(out) == [KV("k", 1), KV("k", 3), KV("k", 6), KV("k", 5)]
 
     def test_two_stacks_empty_query(self):
-        agg = TwoStacksAggregator(0, lambda a, b: a + b)
-        assert agg.query() == 0
-
-    def test_two_stacks_evict_empty_raises(self):
-        agg = TwoStacksAggregator(0, lambda a, b: a + b)
-        with pytest.raises(IndexError):
-            agg.evict()
+        """A window of empty blocks folds to the identity."""
+        op = SlidingAggregate(1, lambda k, v: v, 0, lambda a, b: a + b, emit_empty=True)
+        out = op.run([KV("k", 4), Marker(1), Marker(2)])
+        assert kvs(out) == [KV("k", 4), KV("k", 0)]
 
     def test_non_invertible_monoid_max(self):
-        agg = TwoStacksAggregator(float("-inf"), max)
-        for v in (5, 9, 3):
-            agg.insert(v)
-        assert agg.query() == 9
-        agg.evict()  # 5
-        assert agg.query() == 9
-        agg.evict()  # 9
-        assert agg.query() == 3
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            make_aggregator(0, lambda a, b: a + b, "magic")
-
-    @given(st.lists(st.sampled_from("IIIEQ"), min_size=1, max_size=200),
-           st.data())
-    @settings(max_examples=50)
-    def test_two_stacks_equals_recompute_oracle(self, ops, data):
-        """Random op sequences over a NON-commutative monoid (string
-        concatenation) — window order must be preserved exactly."""
-        two = TwoStacksAggregator("", lambda a, b: a + b)
-        ref = RecomputeAggregator("", lambda a, b: a + b)
-        counter = 0
-        for op in ops:
-            if op == "I":
-                value = chr(97 + counter % 26)
-                counter += 1
-                two.insert(value)
-                ref.insert(value)
-            elif op == "E" and len(ref):
-                assert two.evict() == ref.evict()
-            assert two.query() == ref.query()
-            assert len(two) == len(ref)
+        op = sliding_window(3, lambda k, v: v, float("-inf"), max)
+        out = op.run(block_stream([5, 9, 3]) + [Marker(4), Marker(5)])
+        assert [e.value for e in kvs(out)] == [5, 9, 9, 9, 3]
 
 
 class TestSlidingWindowTemplate:
@@ -89,8 +71,8 @@ class TestSlidingWindowTemplate:
         ]
 
     def test_matches_library_sliding_count(self):
-        """The specialized template must agree with the OpKeyedUnordered
-        formulation on counting."""
+        """The function-style construction must agree with the library's
+        counting window."""
         events = [
             KV("a", 1), KV("b", 2), Marker(1), KV("a", 3), Marker(2),
             KV("b", 4), KV("b", 5), Marker(3), Marker(4),
@@ -114,6 +96,7 @@ class TestSlidingWindowTemplate:
         ]
 
     def test_algorithms_agree(self):
+        """The two-stacks kernel against the left-fold oracle."""
         events = [KV("k", i % 7) for i in range(30)]
         stream = []
         for i, e in enumerate(events):
@@ -121,16 +104,9 @@ class TestSlidingWindowTemplate:
             if i % 5 == 4:
                 stream.append(Marker(i // 5 + 1))
         for window in (1, 2, 4):
-            fast = sliding_window(
-                window, lambda k, v: v, 0, lambda a, b: a + b,
-                algorithm="two-stacks",
-            )
-            slow = sliding_window(
-                window, lambda k, v: v, 0, lambda a, b: a + b,
-                algorithm="recompute",
-            )
-            assert BlockTrace.from_events(False, fast.run(stream)) == \
-                BlockTrace.from_events(False, slow.run(stream))
+            fast = sliding_window(window, lambda k, v: v, 0, lambda a, b: a + b)
+            slow = LeftFoldSliding(window, lambda k, v: v, 0, lambda a, b: a + b)
+            assert fast.run(stream) == slow.run(stream)
 
     def test_finish_hook(self):
         op = sliding_window(
@@ -141,13 +117,13 @@ class TestSlidingWindowTemplate:
         assert [e for e in out if isinstance(e, KV)] == [KV("a", (5, 7))]
 
     def test_invalid_window(self):
-        op = sliding_window(0, lambda k, v: v, 0, lambda a, b: a + b)
         with pytest.raises(ValueError):
-            op.initial_state()
+            sliding_window(0, lambda k, v: v, 0, lambda a, b: a + b)
 
     def test_type_kinds(self):
-        assert OpSlidingWindow.input_kind == "U"
-        assert OpSlidingWindow.output_kind == "U"
+        assert isinstance(sliding_max(2), SlidingAggregate)
+        assert SlidingAggregate.input_kind == "U"
+        assert SlidingAggregate.output_kind == "U"
 
     @given(event_streams())
     @settings(max_examples=40)

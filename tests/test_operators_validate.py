@@ -6,9 +6,14 @@ import pytest
 from repro.errors import ConsistencyError
 from repro.operators.base import KV, Marker
 from repro.operators.keyed_unordered import OpKeyedUnordered
-from repro.operators.library import map_values, sliding_count, tumbling_count
+from repro.operators.library import (
+    map_values,
+    sliding_count,
+    sliding_max,
+    sliding_window,
+    tumbling_count,
+)
 from repro.operators.joins import DistinctCount, TopK
-from repro.operators.sliding import sliding_max
 from repro.operators.sort import SortOp
 from repro.operators.stateless import OpStateless
 from repro.operators.validate import (
@@ -77,6 +82,13 @@ class TestValidateRejects:
     def test_broken_monoid_caught_by_validate(self):
         with pytest.raises(ConsistencyError):
             validate_operator(BrokenMonoid())
+
+    def test_nonassociative_sliding_window_caught(self):
+        from repro.operators.validate import validate_operator_findings
+
+        averaging = sliding_window(2, lambda k, v: v, 0, lambda x, y: (x + y) / 2)
+        codes = {f.code for f in validate_operator_findings(averaging)}
+        assert codes == {"DT901", "DT902"}
 
     def test_order_leaking_stateless_caught(self):
         with pytest.raises(ConsistencyError, match="inconsistent"):

@@ -74,7 +74,18 @@ MONOIDS = {
         lambda key, agg, ts: agg,
         lambda rng: (rng.randrange(-5, 6), rng.randrange(1, 3)),
     ),
+    # Associative but not commutative: a flip that reverses the order of
+    # the window's blocks changes the string.
+    "concat": (
+        lambda k, v: "abcdefghijk"[v + 5], "", lambda x, y: x + y,
+        lambda key, text, ts: text,
+        lambda rng: rng.choice("xyz"),
+    ),
 }
+
+#: Monoids whose block aggregate depends on the order of its items: the
+#: random streams give these at most one item per key per block.
+ORDER_SENSITIVE = {"concat"}
 
 
 def make_op(cls, monoid, window, emit_empty):
@@ -98,11 +109,15 @@ def random_stream(rng, monoid, float_values=False):
         if rng.random() < 0.25:
             events.append(Marker(block + 1))  # an empty block
             continue
+        seen = set()
         for _ in range(rng.randrange(12)):
             key = rng.choice(keys)
             first, last = spans[key]
             if not first <= block <= last:
                 continue
+            if monoid in ORDER_SENSITIVE and key in seen:
+                continue
+            seen.add(key)
             if float_values:
                 events.append(KV(key, rng.uniform(-1e3, 1e3)))
             elif rng.random() < 0.3:
@@ -212,3 +227,25 @@ def test_window_slides_past_a_flip():
         ("a", 1), ("a", 3), ("a", 4), ("b", 1), ("a", 3), ("b", 1),
         ("a", 1), ("b", 2), ("b", 1), ("b", 1), ("a", 1),
     ]
+
+
+class DoubledFinish(SlidingAggregate):
+    def finish(self, key, agg, timestamp):
+        return agg * 2
+
+
+class MaxCombine(SlidingAggregate):
+    def combine(self, x, y):
+        return max(x, y)
+
+
+@pytest.mark.parametrize("run", [run_serial, run_batched])
+def test_seal_calls_subclass_hooks(run):
+    """A subclass's ``finish`` / ``combine`` override is what the marker
+    step calls too, not only the item path."""
+    sum_monoid = (lambda k, v: v, 0, lambda x, y: x + y, lambda key, total, ts: total)
+    events = [KV("a", 5), KV("a", 7), Marker(1), KV("a", 1), Marker(2)]
+    doubled = DoubledFinish(2, *sum_monoid)
+    assert run(doubled, events[:1] + events[2:3]) == [KV("a", 10), Marker(1)]
+    maxed = MaxCombine(2, *sum_monoid)
+    assert [e.value for e in run(maxed, events) if isinstance(e, KV)] == [7, 7]
