@@ -291,8 +291,22 @@ class SlidingAggregate(OpKeyedUnordered):
     emitted value (``None`` skips the emission); without one the
     aggregate itself is emitted.  A subclass may override the
     ``fold_in`` / ``identity`` / ``combine`` / ``finish`` hooks instead;
-    the marker step then calls the overrides too.
+    the marker step then calls the overrides too.  The fused step never
+    calls ``init`` / ``update_state`` / ``on_marker``, so a subclass that
+    overrides one of those must also override ``seal`` (a ``TypeError``
+    at class creation otherwise).
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.seal is not SlidingAggregate.seal:
+            return
+        for hook in ("init", "update_state", "on_marker"):
+            if getattr(cls, hook) is not getattr(SlidingAggregate, hook):
+                raise TypeError(
+                    f"{cls.__name__} overrides {hook}(), which "
+                    "SlidingAggregate.seal never calls; override seal too"
+                )
 
     def __init__(
         self,

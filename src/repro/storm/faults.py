@@ -36,6 +36,7 @@ they are exactly-once without numbering.  See
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -90,6 +91,12 @@ class EdgeFaults:
         return cls(**data)
 
 
+def _check_time(at_time: float) -> None:
+    """A fault time orders the simulator's heap, so NaN is unusable."""
+    if not (math.isfinite(at_time) and at_time >= 0):
+        raise ValueError(f"at_time must be finite and non-negative, got {at_time}")
+
+
 @dataclass(frozen=True)
 class CrashFault:
     """One task crash: the task loses all in-memory state.
@@ -111,6 +118,10 @@ class CrashFault:
             raise ValueError(
                 "exactly one of after_executions / at_time must be set"
             )
+        if self.after_executions is not None and self.after_executions < 0:
+            raise ValueError("after_executions must be non-negative")
+        if self.at_time is not None:
+            _check_time(self.at_time)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -138,6 +149,9 @@ class MachineFault:
     machine: int
     at_time: float
     permanent: bool = False
+
+    def __post_init__(self):
+        _check_time(self.at_time)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

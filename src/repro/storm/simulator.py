@@ -21,11 +21,23 @@ time is simulated.  The model:
 The simulation drains the workload to completion; *makespan* is the time
 the last tuple finishes anywhere, and throughput = data tuples injected /
 makespan.
+
+``Simulator.run`` is the marker-driven event-loop core: task runtimes,
+bound routes, the event heap and its dispatch, execution, healthy-link
+sends, routing and delivery.  Two feature objects, each built only when
+its feature is on, hang off it: the fault coordinator
+(:class:`~repro.storm.recovery.FaultCoordinator`: faults, checkpoints,
+faulty links, rollback) and the instrumentation probe
+(:class:`~repro.obs.probe.SimulatorProbe`).  The core calls them with one
+``is not None`` check per protocol point: on-deliver, on-execute, on-seal,
+spout emission and run end; the coordinator tells the probe of each
+checkpoint and on-rollback.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 from collections import deque
 import itertools
@@ -41,17 +53,14 @@ from repro.storm.cluster import Cluster, Placement, round_robin_placement
 from repro.storm.costs import CostModel, UniformCostModel
 from repro.storm.faults import FaultPlan, Resequencer
 from repro.storm.groupings import Grouping
-from repro.storm.recovery import CheckpointStore, RecoveryOptions, RecoveryStats
-from repro.storm.recovery import RESTART_DELAY, RETRANSMIT_TIMEOUT
+from repro.storm.recovery import FaultCoordinator, RecoveryOptions
+from repro.storm.recovery import CRASH, DELIVER, DONE, RDELIVER, SPOUT
 from repro.storm.topology import CaptureBolt, OutputCollector, Spout, Topology
 from repro.obs import ObsContext
+from repro.obs.probe import SimulatorProbe
 from repro.storm.tuples import StormTuple
 
 TaskKey = Tuple[str, int]
-
-# Heap actions, in dispatch (frequency) order; rollback keeps the
-# injected faults (codes >= CRASH) armed.
-RDELIVER, DELIVER, DONE, SPOUT, CRASH, MACHINE_FAULT = range(6)
 
 
 @dataclass
@@ -135,26 +144,10 @@ class _TaskRuntime:
     """Mutable per-task execution state."""
 
     __slots__ = (
-        "component",
-        "index",
-        "machine",
-        "is_spout",
-        "payload",
-        "state",
-        "free_at",
-        "routes",
-        "collector",
-        "queue",
-        "running",
-        "batchable",
-        "compiled",
-        "sink",
-        "executions",
-        "crash_after",
-        "last_marker",
-        "emit_log",
-        "replay_cursor",
-        "seal_on_marker",
+        "component", "index", "machine", "is_spout", "payload", "state",
+        "free_at", "routes", "collector", "queue", "running", "batchable",
+        "compiled", "sink", "executions", "crash_after", "last_marker",
+        "emit_log", "replay_cursor", "seal_on_marker",
     )
 
     def __init__(self, component, index, machine, is_spout, payload, state):
@@ -177,13 +170,11 @@ class _TaskRuntime:
         self.batchable = False
         self.compiled = hasattr(payload, "cost_events")
         self.sink: Optional[List[Tuple[float, int, StormTuple]]] = None
-        # Fault-tolerance bookkeeping (see repro.storm.recovery):
-        # pending injected-crash thresholds (lifetime execution counts,
-        # ascending; each fires once and is consumed) and the execution
-        # count they are compared with, last sealed epoch timestamp, the
-        # spout's emission log for replay, the replay cursor into it
-        # (None = live), and whether a plain single-channel bolt seals
-        # an epoch on each executed marker.
+        # Last sealed epoch (failure context), and the fault
+        # coordinator's bookkeeping: crash thresholds and the execution
+        # count they are compared with, a spout's emission log and
+        # replay cursor (None = live), and whether a plain bolt seals an
+        # epoch on each executed marker.
         self.crash_after: List[int] = []
         self.executions = 0
         self.last_marker: Any = None
@@ -242,15 +233,12 @@ class Simulator:
         and capture sinks offloaded.
     seed: RNG seed controlling shuffle groupings and network jitter.
     max_events: safety valve against runaway topologies.
-    obs: optional :class:`~repro.obs.ObsContext`; when enabled, the run
-        records per-task busy spans, queue-depth timelines, marker-epoch
-        alignment spans, and merge channel-skew gauges, and feeds any
-        attached :class:`~repro.obs.monitor.MonitorHub` every delivery
-        (type-conformance checks), source marker (frontier), and sealed
-        epoch (watermarks).  Instrumentation is read-only on both
-        schedules, per tuple and batched — it never touches the RNG or
-        the schedule, so an instrumented run produces bit-identical
-        results; with micro-batching one execution span covers a batch.
+    obs: optional :class:`~repro.obs.ObsContext`; when enabled, a
+        :class:`~repro.obs.probe.SimulatorProbe` records spans, queue
+        depths, epoch alignment and metrics, and feeds any attached
+        :class:`~repro.obs.monitor.MonitorHub`.  It is read-only on the
+        schedule, per tuple and batched, so an instrumented run produces
+        bit-identical results.
     batching: optional :class:`~repro.storm.batching.BatchingOptions`
         enabling the epoch-batched fast paths — receiver-side
         micro-batching through ``execute_batch`` (one framework overhead
@@ -258,22 +246,16 @@ class Simulator:
         combiners on type-licensed ``U(K,V)`` hash edges.  Batching
         changes the simulated *schedule* (fewer invocations, fewer
         shipped tuples) but never the canonical sink traces.
-    faults: optional :class:`~repro.storm.faults.FaultPlan` injecting
-        task crashes, machine failures, and per-edge message
-        drop/duplicate/reorder.  Fault randomness draws from the plan's
-        own seeded RNG, never the scheduling RNG, so enabling the
-        machinery without faults leaves the simulated schedule
-        unchanged.  Without ``recovery``, a crash raises
+    faults, recovery: optional :class:`~repro.storm.faults.FaultPlan`
+        (task crashes, machine failures, per-edge drop/duplicate/reorder
+        drawn from the plan's own seeded RNG) and
+        :class:`~repro.storm.recovery.RecoveryOptions` (epoch-aligned
+        checkpoints, global rollback, exactly-once links), run by a
+        :class:`~repro.storm.recovery.FaultCoordinator`.  Without
+        ``recovery`` a crash raises
         :class:`~repro.errors.TaskFailureError` and message faults are
-        raw (drops lose tuples).
-    recovery: optional :class:`~repro.storm.recovery.RecoveryOptions`
-        enabling epoch-aligned checkpointing and global rollback
-        recovery: tasks snapshot at marker boundaries, crashes restore
-        the last complete epoch and replay sources from it, and links
-        become exactly-once via per-link sequence numbers and
-        resequencing (drops turn into retransmissions).  The recovered
-        run's canonical sink traces are trace-equivalent to the
-        fault-free run's.
+        raw (drops lose tuples); with it, the recovered run's canonical
+        sink traces are trace-equivalent to the fault-free run's.
     """
 
     def __init__(
@@ -333,49 +315,6 @@ class Simulator:
                     ))
                 tasks[(spec.name, index)] = runtime
 
-        # Fault tolerance: a dedicated RNG (never the scheduling RNG, so
-        # a recovery-enabled fault-free run draws the identical schedule)
-        # plus per-task crash thresholds (edge faults go on the routes).
-        faults = self.faults
-        recovery = self.recovery
-        recovery_on = recovery is not None
-        fault_random = random.Random(faults.seed).random if faults is not None else None
-        stats = RecoveryStats() if faults is not None or recovery_on else None
-        if faults is not None:
-            for crash in faults.crashes:
-                crash_key = (crash.component, crash.task)
-                if crash_key not in tasks:
-                    raise SimulationError(
-                        f"fault plan names unknown task {crash_key}"
-                    )
-                if crash.after_executions is not None:
-                    thresholds = tasks[crash_key].crash_after
-                    thresholds.append(crash.after_executions)
-                    thresholds.sort()
-
-        # Observability: precompute everything so the disabled path pays
-        # exactly one `if obs_on` check per instrumentation site.
-        obs = self.obs
-        obs_on = obs is not None and obs.enabled
-        tracer = obs.tracer if obs_on else None
-        metrics = obs.metrics if obs_on else None
-        tracer_on = obs_on and tracer.enabled
-        metrics_on = obs_on and metrics.enabled
-        # Trace/measure instrumentation (spans, frontend stats, member
-        # breakdowns) is skipped wholesale when only monitors are on, so
-        # a monitors-only run pays just the edge/progress taps.
-        tm_on = tracer_on or metrics_on
-        monitors = obs.monitors if obs_on else None
-        monitors_on = monitors is not None and monitors.enabled
-        # Tasks whose payload aligns its inputs through a merge frontend
-        # (CompiledBolt, AlignedCaptureBolt) seal epochs themselves, and
-        # get marker-epoch alignment tracing.
-        frontend_hooks: Dict[_TaskRuntime, Any] = {
-            runtime: runtime.payload
-            for runtime in tasks.values()
-            if hasattr(runtime.payload, "frontend_stats")
-        }
-
         # Type-licensed batching (see repro.storm.batching).
         batching = self.batching
         max_batch = batching.max_batch if batching is not None else 1
@@ -384,14 +323,13 @@ class Simulator:
             for runtime in tasks.values():
                 runtime.batchable = hasattr(runtime.payload, "execute_batch")
 
-        # Bind each route once: its consumer's task runtimes, the edge's
-        # faults and the sender-side combiner; and each sink's record.
+        # Bind each route once: its consumer's task runtimes and the
+        # sender-side combiner; and each sink's record.
         sink_deliveries: Dict[str, List[Tuple[float, int, StormTuple]]] = {
             spec.name: []
             for spec in topology.components.values()
             if isinstance(spec.payload, CaptureBolt)
         }
-        routes: List[_Route] = []
         for runtime in tasks.values():
             component = runtime.component
             runtime.sink = sink_deliveries.get(component)
@@ -399,14 +337,9 @@ class Simulator:
                 runtime.routes, topology.downstream_of(component)
             ):
                 out.targets = [tasks[(consumer, i)] for i in range(out.n_tasks)]
-                if faults is not None:
-                    edge = faults.edge_faults(component, consumer)
-                    if edge is not None and edge.active():
-                        out.edge = edge
                 out.head = combiner_plan.get((component, consumer))
                 if out.head is not None:
                     out.pending = {}
-                routes.append(out)
 
         # Per-machine core availability heaps (source host unbounded).
         core_free: Dict[int, List[float]] = {}
@@ -418,96 +351,6 @@ class Simulator:
         heap: List[Tuple[float, int, int, Any, Any, bool]] = []
         push, pop = heapq.heappush, heapq.heappop
         tick = itertools.count().__next__
-
-        # Time-triggered faults enter the heap as their own actions (a
-        # machine fault has no task).
-        if faults is not None:
-            for crash in faults.crashes:
-                if crash.at_time is not None:
-                    runtime = tasks[(crash.component, crash.task)]
-                    push(heap, (crash.at_time, tick(), CRASH, runtime, None,
-                                False))
-            for machine_fault in faults.machine_faults:
-                push(heap, (machine_fault.at_time, tick(), MACHINE_FAULT, None,
-                            machine_fault, False))
-
-        # Epoch-aligned checkpointing: epoch timestamps are indexed in
-        # marker order as spouts first emit them; a snapshot epoch is
-        # complete once every task has contributed its state at that
-        # marker boundary.
-        epoch_index: Dict[Any, int] = {}
-        ck_every = recovery.checkpoint_every if recovery_on else 1
-        store = (
-            CheckpointStore(len(tasks), index_of=epoch_index.__getitem__)
-            if recovery_on else None
-        )
-
-        def checkpoint_epoch(ts: Any) -> bool:
-            index = epoch_index.get(ts)
-            return index is not None and (index + 1) % ck_every == 0
-
-        def record_snapshot(key: TaskKey, ts: Any, snapshot: Any) -> None:
-            completed = store.add(ts, key, snapshot)
-            stats.checkpoints_taken += 1
-            if completed:
-                stats.complete_epochs = epoch_index[ts] + 1
-            if metrics_on:
-                metrics.counter(
-                    "checkpoints_taken", component=key[0]
-                ).inc()
-
-        # Epochs sealed by the running execution, for the instrumentation
-        # to close once it finishes (instrumented frontend tasks only).
-        sealed: List[Any] = []
-
-        def make_seal_cb(key: TaskKey, runtime: "_TaskRuntime"):
-            """A bolt task's one epoch-seal signal (``collector.on_seal``):
-            failure context, checkpoints and epoch tracing all hang off
-            it.  It lives on the task's collector, so rollback keeps it."""
-            traced = obs_on and runtime in frontend_hooks
-
-            def on_seal(ts: Any) -> None:
-                runtime.last_marker = ts
-                if recovery_on and checkpoint_epoch(ts):
-                    record_snapshot(
-                        key, ts, runtime.payload.snapshot_state(runtime.state)
-                    )
-                if traced:
-                    sealed.append(ts)
-
-            return on_seal
-
-        for key, runtime in tasks.items():
-            if runtime.is_spout:
-                if recovery_on:
-                    runtime.emit_log = []
-                continue
-            runtime.collector.on_seal = make_seal_cb(key, runtime)
-            if recovery_on and runtime not in frontend_hooks:
-                spec = topology.components[runtime.component]
-                n_channels = sum(
-                    topology.components[upstream].parallelism
-                    for upstream in spec.inputs
-                )
-                if n_channels > 1:
-                    raise SimulationError(
-                        "recovery needs aligned epoch snapshots, but plain "
-                        f"bolt {runtime.component!r} merges {n_channels} "
-                        "upstream task channels without a merge frontend; "
-                        "use a compiled topology or AlignedCaptureBolt"
-                    )
-                if isinstance(runtime.payload, CaptureBolt) and spec.parallelism > 1:
-                    raise SimulationError(
-                        f"recovery requires CaptureBolt {runtime.component!r} "
-                        "to run with parallelism 1 (its record is shared "
-                        "across tasks); use AlignedCaptureBolt"
-                    )
-                runtime.seal_on_marker = True
-
-        # Kick off all spout tasks at t=0.
-        for runtime in tasks.values():
-            if runtime.is_spout:
-                push(heap, (0.0, tick(), SPOUT, runtime, None, False))
 
         processed: Dict[str, int] = {name: 0 for name in topology.components}
         emitted: Dict[str, int] = {name: 0 for name in topology.components}
@@ -552,7 +395,7 @@ class Simulator:
                 machine_cores={
                     m.machine_id: m.cores for m in self.cluster.machines
                 },
-                recovery=stats,
+                recovery=ft.stats if ft is not None else None,
             )
 
         def task_failure(
@@ -571,108 +414,33 @@ class Simulator:
                 report=build_report(),
             )
 
-        def fail_task(runtime: _TaskRuntime, now: float, detail: str) -> None:
-            """An injected task crash: recover, or surface with context."""
-            if not recovery_on:
-                raise task_failure(runtime, RuntimeError(detail))
-            recover_all(now, detail)
+        # The two feature objects, each built only when its feature is
+        # on; the loop checks each once per protocol point.
+        obs = self.obs
+        probe = (SimulatorProbe(obs, tasks, self.cluster.machines, marker_emit_times,
+                                machine_busy) if obs is not None and obs.enabled else None)
+        ft = (FaultCoordinator(self.faults, self.recovery, topology, tasks, core_free, heap,
+                               tick, probe, task_failure, build_report)
+              if self.faults is not None or self.recovery is not None else None)
 
-        def crashes_now(runtime: _TaskRuntime, now: float) -> bool:
-            """Count one execution of a task with pending crash
-            thresholds; fire the next threshold once it is passed."""
-            runtime.executions += 1
-            if runtime.executions <= runtime.crash_after[0]:
-                return False
-            runtime.crash_after.pop(0)  # each threshold fires once
-            fail_task(runtime, now, "injected crash")
-            return True
+        def on_seal(key: TaskKey, runtime: _TaskRuntime, ts: Any) -> None:
+            """A bolt task's one epoch-seal signal (``collector.on_seal``):
+            failure context, checkpoints and epoch tracing all hang off
+            it.  It lives on the task's collector, so rollback keeps it."""
+            runtime.last_marker = ts
+            if ft is not None:
+                ft.on_seal(key, runtime, ts)
+            if probe is not None:
+                probe.on_seal(runtime, ts)
 
-        def recover_all(now: float, detail: str) -> None:
-            """Global rollback to the last complete epoch snapshot.
+        for key, runtime in tasks.items():
+            if not runtime.is_spout:
+                runtime.collector.on_seal = functools.partial(on_seal, key, runtime)
 
-            Every task restores its checkpoint (or re-prepares, if the
-            restored epoch predates its first snapshot), all in-flight
-            messages are discarded, every route's link state is reset
-            (numbering restarts per incarnation — consistent, because
-            *all* state rolls back together), and spouts replay their
-            emission logs from the snapshot's boundary.
-            """
-            stats.recoveries += 1
-            if stats.recoveries > recovery.max_recoveries:
-                raise TaskFailureError(
-                    f"gave up after {recovery.max_recoveries} recoveries "
-                    f"(last cause: {detail})",
-                    report=build_report(),
-                )
-            latest = store.latest()
-            epoch, snapshots = latest if latest is not None else (None, {})
-            stats.last_restored_epoch = epoch
-            # Bank duplicate counts as the resequencers reset.
-            for out in routes:
-                stats.duplicates_filtered += out.reset()
-            # Purge in-flight traffic and stale task wakeups; injected
-            # future faults stay armed.
-            heap[:] = [e for e in heap if e[2] >= CRASH]
-            heapq.heapify(heap)
-            store.drop_after(epoch)
-            restart = now + RESTART_DELAY
-            for key, runtime in tasks.items():
-                runtime.queue.clear()
-                runtime.running = False
-                runtime.collector.drain()
-                runtime.free_at = restart
-                runtime.last_marker = epoch
-                snapshot = snapshots.get(key)
-                if runtime.is_spout:
-                    runtime.replay_cursor = (
-                        snapshot["log_pos"] if snapshot is not None else 0
-                    )
-                    push(heap, (restart, tick(), SPOUT, runtime, None, False))
-                    continue
-                payload = runtime.payload
-                if snapshot is not None:
-                    runtime.state = payload.restore_state(snapshot)
-                else:
-                    spec = topology.components[runtime.component]
-                    runtime.state = payload.prepare(
-                        runtime.index, spec.parallelism
-                    )
-            if monitors_on:
-                monitors.on_rollback(epoch, now)
-            if metrics_on:
-                metrics.counter("recoveries").inc()
-                metrics.histogram("recovery_rollback_seconds").observe(
-                    max(0.0, now - marker_emit_times.get(epoch, now))
-                )
-            if tm_on:
-                tracer.sample(
-                    "recovery", "<coordinator>", 0, now, stats.recoveries
-                )
-
-        def handle_machine_fault(fault, now: float) -> None:
-            """Crash every task on a machine; permanent faults also
-            remove the machine and re-place its tasks on survivors."""
-            if fault.permanent and fault.machine in core_free:
-                core_free.pop(fault.machine)
-                survivors = sorted(core_free)
-                if not survivors:
-                    raise SimulationError(
-                        "machine fault left no worker machines"
-                    )
-                displaced = 0
-                for runtime in tasks.values():
-                    if runtime.machine == fault.machine:
-                        runtime.machine = survivors[
-                            displaced % len(survivors)
-                        ]
-                        displaced += 1
-            if not recovery_on:
-                raise TaskFailureError(
-                    f"machine {fault.machine} failed at t={now:.6f}",
-                    machine=fault.machine,
-                    report=build_report(),
-                )
-            recover_all(now, f"machine {fault.machine} fault")
+        # Kick off all spout tasks at t=0.
+        for runtime in tasks.values():
+            if runtime.is_spout:
+                push(heap, (0.0, tick(), SPOUT, runtime, None, False))
 
         def execution_cost(
             runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]],
@@ -721,101 +489,6 @@ class Simulator:
                         breakdown.append((vertex, member, len(events)))
             return cost
 
-        def record_execution(
-            runtime: _TaskRuntime, batch: List[Tuple[StormTuple, bool]],
-            start: float, finish: float, cost: float,
-            breakdown: Optional[List[Tuple[str, float, int]]], fanout: int,
-        ) -> None:
-            """Trace/measure one bolt execution — a tuple or a micro-batch
-            (instrumented runs only)."""
-            comp, idx = runtime.component, runtime.index
-            if tm_on:
-                tracer.sample(
-                    "queue_depth", comp, idx, start, len(runtime.queue)
-                )
-                tracer.exec_span(
-                    comp, idx, runtime.machine, start, finish,
-                    {"event": type(batch[-1][0].event).__name__,
-                     "fanout": fanout},
-                )
-                if metrics_on:
-                    metrics.counter(
-                        "tuples_processed", component=comp
-                    ).inc(len(batch))
-                    metrics.counter(
-                        "task_busy_seconds", component=comp, task=idx
-                    ).inc(cost)
-                    metrics.counter("emit_fanout", component=comp).inc(fanout)
-                # Per-fused-member sub-spans tile the execution interval in
-                # chain order (glue first), so chrome://tracing shows where
-                # inside the chain the time went.
-                if len(breakdown) > 1:
-                    cursor = start
-                    for vertex, vertex_cost, n_events in breakdown:
-                        tracer.member_span(
-                            comp, idx, runtime.machine, vertex,
-                            cursor, cursor + vertex_cost, n_events,
-                        )
-                        cursor += vertex_cost
-                        if metrics_on and vertex != "glue":
-                            metrics.counter(
-                                "member_events", component=comp, vertex=vertex
-                            ).inc(n_events)
-                            metrics.counter(
-                                "member_cpu_seconds", component=comp,
-                                vertex=vertex,
-                            ).inc(vertex_cost)
-            hooks = frontend_hooks.get(runtime)
-            if hooks is None:
-                return
-            # Marker-epoch alignment: each epoch this execution sealed
-            # (the delivered marker was the laggard completing it) closes
-            # its epoch span.
-            if monitors_on:
-                for ts in sealed:
-                    monitors.on_epoch_sealed(comp, idx, ts, finish)
-            if not tm_on:
-                return
-            stats = hooks.frontend_stats(runtime.state)
-            for ts in sealed:
-                wait = tracer.epoch_release(
-                    comp, idx, ts, finish,
-                    {"buffered_after": stats["buffered_tuples"]},
-                )
-                if metrics_on:
-                    metrics.counter(
-                        "epochs_aligned", component=comp, task=idx
-                    ).inc()
-                    if wait is not None:
-                        metrics.histogram(
-                            "epoch_wait_seconds", component=comp
-                        ).observe(wait)
-            if metrics_on:
-                skew_gauge = metrics.gauge("merge_skew", component=comp, task=idx)
-                skew_gauge.set_max(
-                    stats["skew"],
-                    note=str(stats["laggard"])
-                    if stats["laggard"] is not None else None,
-                )
-                buffered = stats["buffered_tuples"]
-                buffered_gauge = metrics.gauge(
-                    "merge_buffered_tuples", component=comp, task=idx
-                )
-                new_peak = buffered > 0 and (
-                    buffered_gauge.max is None or buffered > buffered_gauge.max
-                )
-                buffered_gauge.set_max(buffered)
-                if new_peak:
-                    # Sizing walks every buffered event, so only do it
-                    # when the buffer hits a new high-water mark.
-                    metrics.gauge(
-                        "merge_buffered_bytes", component=comp, task=idx
-                    ).set_max(
-                        hooks.frontend_stats(runtime.state, with_bytes=True)[
-                            "buffered_bytes"
-                        ]
-                    )
-
         def maybe_start(runtime: _TaskRuntime, now: float) -> None:
             """Begin the task's next execution if it is idle.
 
@@ -833,7 +506,7 @@ class Simulator:
             queue = runtime.queue
             if runtime.running or not queue:
                 return
-            if runtime.crash_after and crashes_now(runtime, now):
+            if runtime.crash_after and ft.crashes_now(runtime, now):
                 return
             batchable = runtime.batchable
             if batchable:
@@ -862,17 +535,16 @@ class Simulator:
                 if cores is not None:
                     heapq.heappush(cores, start)
                 runtime.collector.drain()
-                sealed.clear()
-                if recovery_on:
-                    recover_all(now, f"operator exception: {exc}")
-                    return
-                raise task_failure(runtime, exc) from exc
+                if ft is None:
+                    raise task_failure(runtime, exc) from exc
+                ft.fail_task(runtime, now, f"operator exception: {exc}", exc)
+                return
             outputs = runtime.collector.drain()
             if runtime.seal_on_marker and isinstance(tup.event, Marker):
                 # Plain single-channel bolt under recovery: every
                 # executed marker seals an epoch (nothing to align).
                 runtime.collector.on_seal(tup.event.timestamp)
-            breakdown = [] if tm_on else None
+            breakdown = [] if probe is not None else None
             cost = execution_cost(runtime, batch, breakdown)
             finish = start + cost
             machine_busy[runtime.machine] = (
@@ -884,12 +556,8 @@ class Simulator:
             runtime.running = True
             makespan = max(makespan, finish)
             processed[runtime.component] += len(batch)
-            if obs_on:
-                record_execution(
-                    runtime, batch, start, finish, cost, breakdown,
-                    len(outputs),
-                )
-                sealed.clear()
+            if probe is not None:
+                probe.on_execute(runtime, batch, start, finish, cost, breakdown, len(outputs))
             route(runtime, outputs, finish)
             push(heap, (finish, tick(), DONE, runtime, None, False))
 
@@ -902,61 +570,23 @@ class Simulator:
             Every link is FIFO: Storm guarantees in-order delivery
             between a fixed producer task and consumer task, so jittered
             delays never reorder tuples on the same link (the route
-            keeps one floor per target).  On a fault-injected link under
-            recovery, every transmission is numbered per link and
-            delivered through the receiver's resequencer (RDELIVER): the
-            link is at-least-once, so an injected drop becomes a late
-            retransmission, a duplicate is filtered on arrival, and a
-            reorder (which deliberately bypasses the FIFO floor) is
-            buffered until the gap fills.  Only those links pay for the
-            reliability layer: a healthy link is already exactly-once,
-            because rollback purges everything in flight and the sources
-            replay from the checkpoint boundary.  Without recovery the
-            faults are raw — drops lose the tuple outright — and hit
-            only data tuples: a lost or duplicated marker would kill
-            alignment outright rather than corrupt output.
+            keeps one floor per target).  A fault-injected link hands
+            the transmission to the fault coordinator; a healthy link is
+            exactly-once even under recovery, because rollback purges
+            everything in flight and the sources replay from the
+            checkpoint boundary.
             """
-            event = tup.event
             machine = runtime.machine
             targets, floors, edge = out.targets, out.floors, out.edge
-            for target in out.select(event, out.n_tasks):
+            for target in out.select(tup.event, out.n_tasks):
                 dst = targets[target]
                 arrival = at + network_delay(machine, dst.machine, rng)
                 arrival = floors[target] = max(arrival, floors[target])
                 remote = machine != dst.machine
-                if edge is None or (
-                    not recovery_on and isinstance(event, Marker)
-                ):
+                if edge is None:
                     push(heap, (arrival, tick(), DELIVER, dst, tup, remote))
-                    continue
-                # A fault-injected link; each mode keeps its own draw
-                # order on the fault RNG.
-                if recovery_on:
-                    seq_no = out.seqs[target]
-                    out.seqs[target] = seq_no + 1
-                    action, item = RDELIVER, (out.reseqs[target], seq_no, tup)
                 else:
-                    action, item = DELIVER, tup
-                if edge.drop:
-                    if recovery_on:
-                        retransmits = 0
-                        while (
-                            retransmits < edge.max_retransmits
-                            and fault_random() < edge.drop
-                        ):
-                            retransmits += 1
-                        if retransmits:
-                            arrival += retransmits * RETRANSMIT_TIMEOUT
-                            stats.retransmissions += retransmits
-                    elif fault_random() < edge.drop:
-                        continue  # raw mode: the tuple is simply lost
-                if edge.reorder and fault_random() < edge.reorder:
-                    arrival += fault_random() * edge.reorder_delay
-                    stats.reordered += 1
-                if edge.duplicate and fault_random() < edge.duplicate:
-                    duplicate_at = arrival + fault_random() * edge.reorder_delay
-                    push(heap, (duplicate_at, tick(), action, dst, item, remote))
-                push(heap, (arrival, tick(), action, dst, item, remote))
+                    ft.send(out, target, dst, tup, arrival, remote)
 
         def route(runtime: _TaskRuntime, events: List[Event], at: float) -> None:
             component, index = runtime.component, runtime.index
@@ -1006,31 +636,8 @@ class Simulator:
             if runtime.sink is not None:
                 runtime.sink.append((time_now, runtime.index, tup))
             runtime.queue.append((tup, remote))
-            if obs_on:
-                depth = len(runtime.queue)
-                if monitors_on:
-                    monitors.on_delivery(
-                        runtime.component, runtime.index, tup, time_now,
-                        depth,
-                    )
-                if tm_on:
-                    tracer.sample(
-                        "queue_depth", runtime.component, runtime.index,
-                        time_now, depth,
-                    )
-                    if metrics_on:
-                        metrics.gauge(
-                            "queue_depth", component=runtime.component,
-                            task=runtime.index,
-                        ).set_max(depth)
-                    if (
-                        runtime in frontend_hooks
-                        and isinstance(tup.event, Marker)
-                    ):
-                        tracer.epoch_arrival(
-                            runtime.component, runtime.index,
-                            runtime.machine, tup.event.timestamp, time_now,
-                        )
+            if probe is not None:
+                probe.on_deliver(runtime, tup, time_now)
 
         max_events = self.max_events
         while heap:
@@ -1058,36 +665,27 @@ class Simulator:
             elif action == DONE:  # the running execution finished
                 runtime.running = False
             elif action == SPOUT:
-                if runtime.crash_after and crashes_now(runtime, time_now):
+                if runtime.crash_after and ft.crashes_now(runtime, time_now):
                     continue
-                # log_start: emission-log position of this wakeup's first
-                # output (the log exists only under recovery).
-                log_start = runtime.replay_cursor
-                if log_start is not None and log_start >= len(runtime.emit_log):
-                    log_start = runtime.replay_cursor = None  # caught up: go live
-                live = log_start is None
+                # A spout rolled back by recovery replays one logged
+                # event per wakeup until it has caught up.
+                outputs = ft.replay(runtime) if runtime.replay_cursor is not None else None
+                live = outputs is None
                 if live:
                     try:
                         alive = runtime.payload.next_tuple(runtime.collector)
                     except Exception as exc:
                         runtime.collector.drain()
-                        if recovery_on:
-                            recover_all(time_now, f"spout exception: {exc}")
-                            continue
-                        raise task_failure(runtime, exc) from exc
+                        if ft is None:
+                            raise task_failure(runtime, exc) from exc
+                        ft.fail_task(runtime, time_now, f"spout exception: {exc}", exc)
+                        continue
                     outputs = runtime.collector.drain()
                     input_all += len(outputs)
-                    if recovery_on:
-                        log_start = len(runtime.emit_log)
-                        runtime.emit_log.extend(outputs)
+                    if ft is not None:
+                        ft.on_spout_emit(runtime, outputs)
                 else:
-                    # Replay one logged event per wakeup; skip the input
-                    # counters and frontier taps — this traffic was
-                    # already accounted the first time.
-                    outputs = [runtime.emit_log[log_start]]
-                    runtime.replay_cursor = log_start + 1
                     alive = True
-                    stats.replayed_events += 1
                 component = runtime.component
                 cost = sum(map(spout_cost, itertools.repeat(component), outputs))
                 # Spout emissions are self-paced: the wakeup time *is*
@@ -1101,57 +699,30 @@ class Simulator:
                 if cores is not None:
                     heapq.heappush(cores, finish)
                 makespan = max(makespan, finish)
-                for position, event in enumerate(outputs):
-                    if live and isinstance(event, KV):
-                        input_data += 1
-                    elif isinstance(event, Marker):
-                        ts = event.timestamp
-                        if live:
-                            marker_emit_times.setdefault(ts, finish)
-                            if monitors_on:
-                                monitors.on_source_marker(component, ts, finish)
-                        if recovery_on:
-                            epoch_index.setdefault(ts, len(epoch_index))
-                            runtime.last_marker = ts
-                            if checkpoint_epoch(ts):
-                                record_snapshot(
-                                    (component, runtime.index), ts,
-                                    {"log_pos": log_start + position + 1},
-                                )
-                if tm_on and outputs:
-                    tracer.exec_span(
-                        component, runtime.index, runtime.machine,
-                        start, finish, {"fanout": len(outputs)},
-                    )
-                    if metrics_on:
-                        metrics.counter(
-                            "spout_emitted", component=component
-                        ).inc(len(outputs))
+                if live:
+                    # Replayed traffic was accounted the first time.
+                    for event in outputs:
+                        if isinstance(event, KV):
+                            input_data += 1
+                        elif isinstance(event, Marker):
+                            marker_emit_times.setdefault(event.timestamp, finish)
+                if probe is not None:
+                    probe.on_spout_emit(runtime, outputs, live, start, finish)
                 route(runtime, outputs, finish)
                 if alive:
                     push(heap, (finish, tick(), SPOUT, runtime, None, False))
                 continue
             elif action == CRASH:
-                fail_task(runtime, time_now, "injected crash")
+                ft.fail_task(runtime, time_now, "injected crash")
                 continue
             else:  # MACHINE_FAULT
-                handle_machine_fault(item, time_now)
+                ft.handle_machine_fault(item, time_now)
                 continue
             if not runtime.running:
                 maybe_start(runtime, time_now)
 
-        if obs_on:
-            tracer.finalize(makespan)
-            if monitors_on:
-                monitors.close(makespan)
-            if metrics_on:
-                for machine in self.cluster.machines:
-                    metrics.gauge(
-                        "machine_busy_seconds", machine=machine.machine_id
-                    ).set(machine_busy.get(machine.machine_id, 0.0))
-
-        if recovery_on:
-            for out in routes:
-                stats.duplicates_filtered += out.reset()
-
+        if probe is not None:
+            probe.finalize(makespan)
+        if ft is not None:
+            ft.finish()
         return build_report()

@@ -209,6 +209,30 @@ class TestFailureContext:
         with pytest.raises(SimulationError, match="unknown task"):
             run(faults=plan)
 
+    @pytest.mark.parametrize("recovery", [None, True])
+    def test_unknown_machine_rejected(self, recovery):
+        """Machine 99 is not one of the 3 workers: with recovery it used
+        to trigger a spurious global rollback, without it a failure."""
+        plan = FaultPlan(machine_faults=(MachineFault(99, at_time=1e-4),))
+        with pytest.raises(SimulationError, match="unknown machine 99"):
+            run(faults=plan, recovery=recovery)
+
+    def test_unknown_edge_rejected(self):
+        plan = FaultPlan(edges={("NOPE", "X"): EdgeFaults(drop=0.5)})
+        with pytest.raises(SimulationError, match="unknown edge"):
+            run(faults=plan, recovery=True)
+
+    @pytest.mark.parametrize("at_time", [float("nan"), float("inf"), -1e-3])
+    def test_bad_fault_time_rejected(self, at_time):
+        with pytest.raises(ValueError, match="at_time"):
+            CrashFault("MAP", at_time=at_time)
+        with pytest.raises(ValueError, match="at_time"):
+            MachineFault(0, at_time=at_time)
+
+    def test_negative_execution_count_rejected(self):
+        with pytest.raises(ValueError, match="after_executions"):
+            CrashFault("MAP", after_executions=-1)
+
     def test_gives_up_after_max_recoveries(self):
         """A permanently crash-looping task must terminate the run with
         a diagnosis, not loop forever."""

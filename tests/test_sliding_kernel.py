@@ -249,3 +249,23 @@ def test_seal_calls_subclass_hooks(run):
     assert run(doubled, events[:1] + events[2:3]) == [KV("a", 10), Marker(1)]
     maxed = MaxCombine(2, *sum_monoid)
     assert [e.value for e in run(maxed, events) if isinstance(e, KV)] == [7, 7]
+
+
+@pytest.mark.parametrize("hook", ["init", "update_state", "on_marker"])
+def test_subclass_with_template_hook_needs_its_own_seal(hook):
+    """The fused marker step never calls ``init`` / ``update_state`` /
+    ``on_marker``; a subclass that overrides one of them without
+    overriding ``seal`` is rejected when the class is created, rather
+    than silently running without its override."""
+    overrides = {
+        "init": lambda self: (),
+        "update_state": lambda self, old_state, agg: agg,
+        "on_marker": lambda self, new_state, key, m, emit: emit(key, "tagged"),
+    }
+    with pytest.raises(TypeError, match=hook):
+        type("Tagged", (SlidingAggregate,), {hook: overrides[hook]})
+    # Overriding seal too (here with the template's generic marker step,
+    # as the refold baselines do) is accepted.
+    type("Tagged", (SlidingAggregate,), {
+        hook: overrides[hook], "seal": OpKeyedUnordered.seal,
+    })

@@ -23,7 +23,7 @@ from repro.apps.yahoo.events import YahooWorkload
 from repro.apps.yahoo.queries import query3, query3_costs, query4, query4_costs
 from repro.compiler import compile_dag
 from repro.compiler.compile import source_from_events
-from repro.obs import ObsContext
+from repro.obs import MonitorHub, ObsContext
 from repro.operators.base import KV, Marker
 from repro.storm import Cluster, Simulator
 from repro.storm.batching import BatchingOptions
@@ -55,13 +55,16 @@ def schedule_digest(report) -> str:
 def run_q3(batched=False, faults=None, recovery=None, obs=None,
            remote_cpu=0.0):
     """A small Query III run: 20 one-second epochs of 30 events, 2 spouts,
-    4-way parallel stages on 2 machines of 2 cores."""
+    4-way parallel stages on 2 machines of 2 cores.  ``obs`` may also be
+    a function of the compiled topology that builds the context."""
     workload = YahooWorkload(seconds=20, events_per_second=30, seed=SEED)
     events = workload.events()
     compiled = compile_dag(
         query3(workload.make_database(), 4),
         {"events": source_from_events(events, 2)},
     )
+    if callable(obs):
+        obs = obs(compiled)
     if faults == "demo":
         faults = demo_plan(compiled.topology, SEED)
     costs = query3_costs()
@@ -99,7 +102,7 @@ class Double(Bolt):
         collector.emit(event)
 
 
-def run_plain():
+def run_plain(double_tasks=3, faults=None, recovery=None):
     """Hand-written bolts without ``execute_batch`` or ``cost_events``:
     charged through ``cpu_cost`` and never micro-batched."""
     events = []
@@ -107,7 +110,7 @@ def run_plain():
         events += [KV(i % 7, epoch * i) for i in range(20)] + [Marker(epoch)]
     builder = TopologyBuilder("plain")
     builder.set_spout("src", IteratorSpout(lambda i, n: iter(events)), 1)
-    builder.set_bolt("double", Double(), 3).grouping(
+    builder.set_bolt("double", Double(), double_tasks).grouping(
         "src", MarkerAwareGrouping("hash")
     )
     builder.set_bolt("sink", CaptureBolt(), 1).grouping(
@@ -117,8 +120,36 @@ def run_plain():
     costs.remote_cpu = 1e-6
     return Simulator(
         builder.build(), Cluster(2), cost_model=costs, seed=SEED,
-        batching=BatchingOptions(),
+        batching=BatchingOptions(), faults=faults, recovery=recovery,
     ).run()
+
+
+def observed_q3(batched):
+    """Query III with demo faults and recovery, observed by a tracer, a
+    metrics registry and the compiled topology's monitor hub; returns
+    the context."""
+    contexts = []
+
+    def collecting(compiled):
+        contexts.append(ObsContext.collecting(
+            monitors=MonitorHub.for_compiled(compiled)
+        ))
+        return contexts[0]
+
+    run_q3(batched=batched, faults="demo", recovery=RecoveryOptions(),
+           obs=collecting)
+    return contexts[0]
+
+
+def obs_digest(obs) -> str:
+    """sha1 over everything an observed run records: trace records,
+    metrics and monitor telemetry."""
+    pinned = (
+        obs.tracer.jsonl_records(),
+        obs.metrics.snapshot(),
+        obs.monitors.telemetry_records(),
+    )
+    return hashlib.sha1(repr(pinned).encode()).hexdigest()
 
 
 CONFIGS = {
@@ -151,6 +182,21 @@ CONFIGS = {
     "per-tuple/remote-cpu": lambda: run_q3(remote_cpu=2e-6),
     "micro-batch/remote-cpu": lambda: run_q3(batched=True, remote_cpu=2e-6),
     "plain-bolts": run_plain,
+    # Plain single-channel bolts seal an epoch on every executed marker.
+    "plain-bolts+crash+recovery": lambda: run_plain(
+        double_tasks=1,
+        faults=FaultPlan(crashes=(CrashFault("double", after_executions=120),)),
+        recovery=RecoveryOptions(),
+    ),
+    # A permanent failure re-places machine 1's tasks on machine 0.
+    "permanent-machine-fault+recovery/micro-batch": lambda: run_q3(
+        batched=True,
+        faults=FaultPlan(
+            machine_faults=(MachineFault(1, at_time=3e-3, permanent=True),),
+            seed=SEED,
+        ),
+        recovery=RecoveryOptions(),
+    ),
     # Time-triggered faults: a task crash, then a transient machine
     # failure that must survive the first rollback's heap purge.
     "time-faults+recovery/per-tuple": lambda: run_q3(
@@ -182,6 +228,10 @@ GOLDEN = {
     "plain-bolts": "3c75f6638755efb6daba0d00fdf41c494693783a",
     "time-faults+recovery/per-tuple": "91c4bade1484ab79ba906160871f5993c99ff61f",
     "query4/micro-batch+combiners": "0bd9e93d42769090ae1ac147e1468074255eab17",
+    "plain-bolts+crash+recovery": "4d5f0233d3d20f54993467ce18f42cb702d9e4c3",
+    "permanent-machine-fault+recovery/micro-batch": (
+        "f2d77b6d64c497e8289fc331662ee2e65dde9434"
+    ),
 }
 
 
@@ -201,6 +251,9 @@ def test_fault_configs_engage():
         assert stats.recoveries >= 1, name
         assert stats.retransmissions >= 1, name
         assert stats.duplicates_filtered >= 1, name
+    for name in ("plain-bolts+crash+recovery",
+                 "permanent-machine-fault+recovery/micro-batch"):
+        assert CONFIGS[name]().recovery.recoveries >= 1, name
     timed = CONFIGS["time-faults+recovery/per-tuple"]().recovery
     assert timed.recoveries == 2
     raw = CONFIGS["edge-faults/no-recovery"]()
@@ -208,3 +261,15 @@ def test_fault_configs_engage():
     assert raw.recovery.reordered >= 1
     assert raw.input_data_tuples == clean.input_data_tuples
     assert sum(raw.processed.values()) != sum(clean.processed.values())
+
+
+#: Observed demo-fault runs: the instrumentation output itself, pinned.
+OBS_GOLDEN = {
+    "per-tuple": "fc22c4fa0eae0ac8d79de65e68e537e56e650a5b",
+    "micro-batch": "e34c8236f31bfa7960fa8f78b028e8a21748a66d",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(OBS_GOLDEN))
+def test_obs_output_matches_golden(mode):
+    assert obs_digest(observed_q3(mode == "micro-batch")) == OBS_GOLDEN[mode]
