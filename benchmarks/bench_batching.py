@@ -1,9 +1,9 @@
 """Epoch-batched vs. event-at-a-time execution.
 
 The batching engine's headline numbers: the in-process backend runs the
-Figure 6 Smart-Homes pipeline both event-at-a-time (``push`` through
-``Operator.handle``) and epoch-batched (``push_batch`` through the
-batch kernels), asserts the canonical sink traces are identical — the
+Figure 6 Smart-Homes pipeline both event-at-a-time (``push``: each
+kernel fed one event at a time) and epoch-batched (``push_batch``: one
+kernel call per block), asserts the canonical sink traces are identical — the
 data-trace types license the batching, so the denotation must not move —
 and reports the wall-clock speedup.  A second case runs the Section 2
 motivation pipeline as a small smoke workload (the CI perf gate), and a

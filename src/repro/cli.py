@@ -302,7 +302,8 @@ def _sim(args) -> int:
     from repro.compiler import compile_dag
     from repro.compiler.compile import source_from_events
     from repro.storm import Cluster, Simulator
-    from repro.storm.faults import demo_plan, load_fault_plan
+    from repro.errors import SimulationError
+    from repro.storm.faults import check_fault_plan, demo_plan, load_fault_plan
     from repro.storm.local import events_to_trace
     from repro.storm.recovery import RecoveryOptions
 
@@ -343,12 +344,18 @@ def _sim(args) -> int:
             traces[name] = events_to_trace(bolt.aligned_events, ordered)
         return traces, report
 
-    if args.faults:
-        plan = load_fault_plan(args.faults)
-        print(f"fault plan loaded from {args.faults}")
-    else:
-        plan = demo_plan(build_compiled(machines).topology, seed=args.seed)
-        print("using the built-in demo fault plan")
+    # Check the plan against the run before any simulation, so a plan
+    # naming a task, machine or edge the run lacks fails fast.
+    topology = build_compiled(machines).topology
+    try:
+        plan = (load_fault_plan(args.faults) if args.faults
+                else demo_plan(topology, seed=args.seed))
+        check_fault_plan(plan, topology, {m.machine_id for m in Cluster(machines).machines})
+    except (SimulationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"fault plan loaded from {args.faults}" if args.faults
+          else "using the built-in demo fault plan")
     print(json.dumps(plan.to_dict(), indent=2))
     print()
 

@@ -14,25 +14,28 @@ pushed through edges with one iterative FIFO worklist of
 ``(edge_id, block)`` entries (no recursion, so deep chains and high-fan-out
 DAGs cannot hit the interpreter's recursion limit).
 
-Execution granularity is a choice of kernel over a block, not a second
-routing path.  Every vertex consumes its whole input block and forwards
-one output block per out-edge; a flag picks how it consumes it:
+Execution granularity is a choice of block size, not a second routing
+path or a second kernel.  Every vertex consumes its whole input block
+and forwards one output block per out-edge, through the one kernel each
+operator has (``Operator.handle_batch``, ``Merge.handle_batch``); a
+flag picks how the kernel is fed:
 
 - **event-at-a-time** (:meth:`InProcessPipeline.push`, and
-  :meth:`InProcessPipeline.run` by default) loops ``Operator.handle`` and
-  ``Merge.handle`` over the block — the paper's per-event semantics;
+  :meth:`InProcessPipeline.run` by default) calls the kernel once per
+  event, on a one-event block — the paper's per-event semantics;
 - **epoch-batched** (:meth:`InProcessPipeline.push_batch`, and ``run``
-  when compiled with ``batched=True``) calls ``Operator.handle_batch``
-  and ``Merge.handle_batch`` once per block.
+  when compiled with ``batched=True``) calls it once per block.
 
-The batch kernels are licensed by the edge types: the type checker has
+The kernels are licensed by the edge types: the type checker has
 already established what order each edge's consumers may rely on, and
-the kernels (see :mod:`repro.operators`) reorder only what the edge type
-declares invisible.  FIFO processing preserves per-edge delivery order,
-the only order any operator relies on, so both kernel choices denote the
+a kernel (see :mod:`repro.operators`) may reorder only what the edge
+type declares invisible.  FIFO processing preserves per-edge delivery
+order, the only order any operator relies on, so both feeds denote the
 same trace transduction and their canonical sink traces coincide
 (asserted by the parity suite); only the byte order across a fan-out
-may differ.
+may differ.  :meth:`InProcessPipeline.run` and
+:func:`~repro.storm.recovery.run_with_recovery` share one epoch loop,
+:func:`~repro.storm.recovery.drive_epochs`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.dag.graph import TransductionDAG, VertexKind
 from repro.dag.typecheck import typecheck_dag
 from repro.operators.base import Event
 from repro.operators.merge import Merge
-from repro.storm.recovery import split_epochs
+from repro.storm.recovery import drive_epochs, split_epochs
 
 
 class InProcessPipeline:
@@ -99,12 +102,12 @@ class InProcessPipeline:
     # ------------------------------------------------------------------
 
     def push(self, source: str, event: Event) -> None:
-        """Consume one event from the named source through ``handle``."""
+        """Consume one event from the named source, event at a time."""
         self._drain(self._resolve_source(source), [event], False)
 
     def push_batch(self, source: str, events: Sequence[Event]) -> None:
         """Consume a block of events from the named source at once,
-        through the batch kernels."""
+        one kernel call per vertex."""
         self._drain(self._resolve_source(source), list(events), True)
 
     def outputs(self, sink: str) -> List[Event]:
@@ -160,9 +163,9 @@ class InProcessPipeline:
             del self._outputs[name][length:]
 
     def push_block(self, source: str, events: Sequence[Event]) -> None:
-        """Consume a block of events with this pipeline's compiled kernel
-        choice: the batch kernels when compiled ``batched``, else
-        ``handle`` per event."""
+        """Consume a block of events with this pipeline's compiled
+        granularity: one kernel call per vertex when compiled
+        ``batched``, else one per event."""
         self._drain(self._resolve_source(source), list(events), self._batched)
 
     def run(
@@ -176,15 +179,9 @@ class InProcessPipeline:
         stream.  A source drops out of the rotation once its blocks run
         out.
         """
-        blocks = [
-            (name, split_epochs(events))
-            for name, events in source_events.items()
-        ]
-        rounds = max((len(source_blocks) for _, source_blocks in blocks), default=0)
-        for epoch in range(rounds):
-            for name, source_blocks in blocks:
-                if epoch < len(source_blocks):
-                    self.push_block(name, source_blocks[epoch])
+        drive_epochs(self, {
+            name: split_epochs(events) for name, events in source_events.items()
+        })
         return {name: self.outputs(name) for name in self._outputs}
 
     # ------------------------------------------------------------------
@@ -200,8 +197,8 @@ class InProcessPipeline:
 
         Entries are ``(edge_id, block)``; each vertex consumes its whole
         block and forwards one output block per out-edge.  ``batched``
-        picks the kernels: ``handle_batch`` once per block, or ``handle``
-        once per event of the block.
+        picks how its kernel is fed: the whole block at once, or one
+        one-event block per event, with the kernel bound once.
         """
         edges = self._dag.edges
         vertices = self._dag.vertices
@@ -222,22 +219,23 @@ class InProcessPipeline:
             merge = merges.get(vertex_id)
             if merge is not None:
                 merge_state, port = self._merge_state[vertex_id], edge.dst_port
+                merge_batch = merge.handle_batch
                 if batched:
-                    block = merge.handle_batch(merge_state, port, block)
+                    block = merge_batch(merge_state, port, block)
                 else:
                     aligned: List[Event] = []
                     for event in block:
-                        aligned.extend(merge.handle(merge_state, port, event))
+                        aligned.extend(merge_batch(merge_state, port, [event]))
                     block = aligned
             if vertex.kind == VertexKind.OP and block:
                 state = self._op_state[vertex_id]
+                kernel = vertex.payload.handle_batch
                 if batched:
-                    block = vertex.payload.handle_batch(state, block)
+                    block = kernel(state, block)
                 else:
-                    handle = vertex.payload.handle
                     outputs: List[Event] = []
                     for event in block:
-                        outputs.extend(handle(state, event))
+                        outputs.extend(kernel(state, [event]))
                     block = outputs
             for out_id in routes[vertex_id]:
                 work.append((out_id, block))
@@ -250,7 +248,6 @@ def compile_inprocess(
 
     ``batched=True`` selects the epoch-batched fast path for
     :meth:`InProcessPipeline.run` — same canonical sink traces, paid for
-    with one batch-kernel invocation per block instead of one ``handle``
-    per event.
+    with one kernel call per block instead of one per event.
     """
     return InProcessPipeline(dag, batched=batched)

@@ -22,7 +22,7 @@ the templates; its ``SlidingAggregate`` (built by :func:`sliding_window`
 and :func:`sliding_max`) is the conclusion's sliding-window template.
 """
 
-from repro.operators.base import Operator, Emitter, KV
+from repro.operators.base import Operator, KV
 from repro.operators.stateless import OpStateless, StatelessFn
 from repro.operators.keyed_ordered import OpKeyedOrdered
 from repro.operators.keyed_unordered import (
@@ -41,7 +41,6 @@ from repro.operators import joins
 
 __all__ = [
     "Operator",
-    "Emitter",
     "KV",
     "OpStateless",
     "StatelessFn",

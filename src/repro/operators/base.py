@@ -8,17 +8,20 @@ Runtime streams carry two kinds of *events*:
 An :class:`Operator` is a *factory of stateful instances*: the object
 itself holds only configuration (so one operator can be instantiated many
 times for data parallelism); all mutable state lives in the value returned
-by :meth:`Operator.initial_state` and is threaded through
-:meth:`Operator.handle`.  ``handle`` returns the list of output events for
-one input event, forwarding markers automatically — in the paper's
-templates the programmer never emits markers; the runtime propagates them
-(Table 3's ``emit(m)``).
+by :meth:`Operator.initial_state` and is threaded through the operator's
+one kernel, :meth:`Operator.handle_batch`, which consumes a block of
+events and returns the output events, forwarding markers automatically —
+in the paper's templates the programmer never emits markers; the runtime
+propagates them (Table 3's ``emit(m)``).  The per-event entry point
+:meth:`Operator.handle` is defined once, here: one event is a one-event
+block, so the event-at-a-time and the epoch-batched engines run the same
+kernel code.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Union
+from typing import Any, List, NamedTuple, Sequence, Union
 
 
 class KV(NamedTuple):
@@ -54,39 +57,15 @@ def is_marker_event(event: Event) -> bool:
     return isinstance(event, Marker)
 
 
-class Emitter:
-    """Collects the key-value pairs emitted by template callbacks.
-
-    Template code calls :meth:`emit`; the runtime drains :attr:`buffer`
-    after each callback.  An optional ``key_guard`` enforces template
-    restrictions (``OpKeyedOrdered`` requires output to preserve the input
-    key).
-    """
-
-    def __init__(self, key_guard: Optional[Callable[[Any], None]] = None):
-        self.buffer: List[KV] = []
-        self._key_guard = key_guard
-
-    def emit(self, key: Any, value: Any) -> None:
-        """Emit one output key-value pair."""
-        if self._key_guard is not None:
-            self._key_guard(key)
-        self.buffer.append(KV(key, value))
-
-    def drain(self) -> List[KV]:
-        """Remove and return everything emitted since the last drain."""
-        out, self.buffer = self.buffer, []
-        return out
-
-
 class Operator:
     """Base class for single-input single-output operators.
 
     Subclasses (the Table 1 templates) implement :meth:`initial_state`
-    and :meth:`handle`.  ``handle`` must be a pure function of
-    ``(configuration, state, event)`` up to mutation of ``state`` — no
-    hidden instance-level mutable state — so that parallel instances are
-    independent.
+    and one kernel, :meth:`handle_batch`; an operator written event at a
+    time may implement :meth:`handle` instead.  The kernel must be a
+    pure function of ``(configuration, state, events)`` up to mutation
+    of ``state`` — no hidden instance-level mutable state — so that
+    parallel instances are independent.
     """
 
     #: Optional data-trace types for DAG type checking.
@@ -108,22 +87,25 @@ class Operator:
 
     def handle(self, state: Any, event: Event) -> List[Event]:
         """Consume one event; return output events (markers included)."""
-        raise NotImplementedError
+        return self.handle_batch(state, [event])
 
     def handle_batch(self, state: Any, events: Sequence[Event]) -> List[Event]:
         """Consume a block of events at once; return all output events.
 
-        The batched entry point of the epoch-batched engine.  The default
-        is the serial loop, so every operator supports batching; the
-        template subclasses override it with kernels that amortize
-        per-event dispatch over whole epochs.  Any override must denote
-        the same trace transduction as the per-event path: for a ``U``
-        input the batch may be folded in any order (the type says
-        between-marker items are independent), for an ``O`` input per-key
-        order must be preserved — so canonical output traces are always
-        equal to the serial path's, which is what licenses the engine to
-        pick either.
+        The operator's kernel.  Blocks may be cut anywhere, markers
+        included, and a kernel may reorder within a block only what the
+        input type declares invisible: for a ``U`` input between-marker
+        items are independent, for an ``O`` input per-key order must be
+        preserved.  So feeding a stream one event at a time or in any
+        blocking yields the same canonical output trace, which is what
+        licenses the engines to pick either.  The default loops a
+        subclass's own per-event :meth:`handle`.
         """
+        if type(self).handle is Operator.handle:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override handle_batch(state, events) "
+                "or handle(state, event)"
+            )
         handle = self.handle
         out: List[Event] = []
         for event in events:

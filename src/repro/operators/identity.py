@@ -17,9 +17,6 @@ class IdentityOp(Operator):
 
     name = "ID"
 
-    def handle(self, state: Any, event: Event) -> List[Event]:
-        return [event]
-
     def handle_batch(self, state: Any, events) -> List[Event]:
         return list(events)
 

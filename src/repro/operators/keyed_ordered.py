@@ -26,17 +26,7 @@ import copy
 from typing import Any, Callable, Dict, List
 
 from repro.errors import TraceTypeError
-from repro.operators.base import KV, Emitter, Event, Marker, Operator
-
-
-class _KeyedOrderedState:
-    """Runtime state: per-key user states plus the set of seen keys."""
-
-    __slots__ = ("per_key", "emitter")
-
-    def __init__(self):
-        self.per_key: Dict[Any, Any] = {}
-        self.emitter = Emitter()
+from repro.operators.base import KV, Event, Marker, Operator
 
 
 class OpKeyedOrdered(Operator):
@@ -67,8 +57,9 @@ class OpKeyedOrdered(Operator):
 
     # ------------------------------------------------------------------
 
-    def initial_state(self) -> _KeyedOrderedState:
-        return _KeyedOrderedState()
+    def initial_state(self) -> Dict[Any, Any]:
+        # The runtime state: each seen key's user state.
+        return {}
 
     def copy_state(self, state: Any) -> Any:
         """Independent copy of one key's user state, for checkpointing.
@@ -81,114 +72,49 @@ class OpKeyedOrdered(Operator):
         """
         return copy.deepcopy(state)
 
-    def snapshot_state(self, state: _KeyedOrderedState) -> Any:
-        # The emitter is drained between invocations; only per_key is
-        # durable.
+    def snapshot_state(self, state: Dict[Any, Any]) -> Any:
         cp = self.copy_state
-        return {key: cp(v) for key, v in state.per_key.items()}
+        return {key: cp(v) for key, v in state.items()}
 
-    def restore_state(self, snapshot: Any) -> _KeyedOrderedState:
-        state = _KeyedOrderedState()
+    def restore_state(self, snapshot: Any) -> Dict[Any, Any]:
         cp = self.copy_state
-        state.per_key = {key: cp(v) for key, v in snapshot.items()}
-        return state
+        return {key: cp(v) for key, v in snapshot.items()}
 
-    def handle(self, state: _KeyedOrderedState, event: Event) -> List[Event]:
-        if isinstance(event, Marker):
-            for key in list(state.per_key):
-                guarded = _KeyGuardedEmit(state.emitter, key)
-                state.per_key[key] = self.on_marker(
-                    state.per_key[key], key, event, guarded.emit
-                )
-            out: List[Event] = list(state.emitter.drain())
-            out.append(event)
-            return out
-        key = event.key
-        if key not in state.per_key:
-            state.per_key[key] = self.init()
-        guarded = _KeyGuardedEmit(state.emitter, key)
-        state.per_key[key] = self.on_item(
-            state.per_key[key], key, event.value, guarded.emit
-        )
-        return list(state.emitter.drain())
+    def handle_batch(self, state: Dict[Any, Any], events) -> List[Event]:
+        """The kernel: fold each item into its key's state, in arrival
+        order.
 
-    def handle_batch(self, state: _KeyedOrderedState, events) -> List[Event]:
-        """Epoch kernel: group each between-marker run by key once.
-
-        Per-key arrival order is preserved (the ``O`` type's only
-        obligation); grouping reorders items *across* keys, which the
-        per-key-ordered output type declares invisible.  Each key then
-        pays one state probe and one guarded-emit wrapper per block
-        instead of one per item, then folds :meth:`on_item` over its
-        values in arrival order.
+        One ``emit`` serves the whole block: it enforces key
+        preservation against a cell holding the key being processed, and
+        appends straight to the output list.
         """
         out: List[Event] = []
         append = out.append
-        per_key = state.per_key
-        on_item = self.on_item
+        on_item, init = self.on_item, self.init
+        current = [None]
+
+        def emit(k, v, _current=current, _append=append, _new=tuple.__new__):
+            if k != _current[0]:
+                raise TraceTypeError(
+                    "OpKeyedOrdered must preserve the input key: "
+                    f"got emit({k!r}, ...) while processing key {_current[0]!r}"
+                )
+            _append(_new(KV, (k, v)))
+
         # The default on_marker keeps state and emits nothing, so the
         # per-key marker loop is a no-op the kernel can skip outright.
         on_marker_active = type(self).on_marker is not OpKeyedOrdered.on_marker
-        i, n = 0, len(events)
-        while i < n:
-            event = events[i]
+        for event in events:
             if type(event) is Marker:
                 if on_marker_active:
-                    for key in list(per_key):
-                        per_key[key] = self.on_marker(
-                            per_key[key], key, event, _guarded_append(append, key)
-                        )
+                    for key in list(state):
+                        current[0] = key
+                        state[key] = self.on_marker(state[key], key, event, emit)
                 append(event)
-                i += 1
                 continue
-            j = i
-            while j < n and type(events[j]) is not Marker:
-                j += 1
-            groups: Dict[Any, List[Any]] = {}
-            setdefault = groups.setdefault
-            for key, value in events[i:j]:
-                setdefault(key, []).append(value)
-            i = j
-            for key, values in groups.items():
-                key_state = per_key[key] if key in per_key else self.init()
-                emit = _guarded_append(append, key)
-                for value in values:
-                    key_state = on_item(key_state, key, value, emit)
-                per_key[key] = key_state
+            key, value = event
+            current[0] = key
+            state[key] = on_item(
+                state[key] if key in state else init(), key, value, emit
+            )
         return out
-
-
-def _guarded_append(append, key):
-    """Key-guarded emit writing straight into an output list.
-
-    The batch kernel's replacement for ``_KeyGuardedEmit`` + the state
-    emitter: same key-preservation enforcement, one call layer instead
-    of two, no intermediate buffer to drain."""
-
-    def emit(k, v, _key=key, _append=append, _new=tuple.__new__):
-        if k != _key:
-            raise TraceTypeError(
-                "OpKeyedOrdered must preserve the input key: "
-                f"got emit({k!r}, ...) while processing key {_key!r}"
-            )
-        _append(_new(KV, (k, v)))
-
-    return emit
-
-
-class _KeyGuardedEmit:
-    """Emit wrapper enforcing the key-preservation restriction."""
-
-    __slots__ = ("_emitter", "_key")
-
-    def __init__(self, emitter: Emitter, key: Any):
-        self._emitter = emitter
-        self._key = key
-
-    def emit(self, key: Any, value: Any) -> None:
-        if key != self._key:
-            raise TraceTypeError(
-                "OpKeyedOrdered must preserve the input key: "
-                f"got emit({key!r}, ...) while processing key {self._key!r}"
-            )
-        self._emitter.emit(key, value)

@@ -10,8 +10,9 @@ marker the aggregate is incorporated into the per-key state by the pure
 The runtime below is a direct transcription of Table 3, including the
 subtle ``startS`` bookkeeping: a key first seen after ``k`` markers must
 start from ``initial_state`` advanced by ``k`` empty aggregates, so that
-all keys stay logically synchronized.  ``handle`` and ``handle_batch``
-share one marker step, :meth:`OpKeyedUnordered.seal`; a fused marker
+all keys stay logically synchronized.  The template has one kernel,
+:meth:`OpKeyedUnordered.handle_batch` (``handle`` is a one-event block),
+whose marker step is :meth:`OpKeyedUnordered.seal`; a fused marker
 kernel overrides only that (``library.SlidingAggregate`` advances a
 two-stacks record of block aggregates per key there).
 
@@ -27,7 +28,7 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List
 
-from repro.operators.base import KV, Emitter, Event, Marker, Operator
+from repro.operators.base import KV, Event, Marker, Operator
 
 
 @dataclass
@@ -97,12 +98,11 @@ class _Record:
 class _KeyedUnorderedState:
     """Table 3's memory: the state map plus ``startS``."""
 
-    __slots__ = ("state_map", "start_state", "emitter")
+    __slots__ = ("state_map", "start_state")
 
     def __init__(self, start_state: Any):
         self.state_map: Dict[Any, _Record] = {}
         self.start_state = start_state
-        self.emitter = Emitter()
 
 
 class OpKeyedUnordered(Operator):
@@ -162,10 +162,9 @@ class OpKeyedUnordered(Operator):
         return _KeyedUnorderedState(self.init())
 
     def snapshot_state(self, state: _KeyedUnorderedState) -> Any:
-        # Only the record map and startS are durable; the emitter buffer
-        # is always drained between invocations.  The per-key ``agg`` /
-        # ``state`` values may be arbitrary user objects, so they still
-        # deep-copy — the saving is skipping the slotted wrappers.
+        # The per-key ``agg`` / ``state`` values may be arbitrary user
+        # objects, so they deep-copy — the saving is skipping the
+        # slotted wrappers.
         return (
             copy.deepcopy(state.start_state),
             {
@@ -196,82 +195,39 @@ class OpKeyedUnordered(Operator):
             self.on_marker(record.state, key, m, emit)
         state.start_state = update_state(state.start_state, identity())
 
-    def handle(self, state: _KeyedUnorderedState, event: Event) -> List[Event]:
-        if isinstance(event, Marker):
-            out: List[Event] = []
-            self.seal(state, event, out)
-            out.append(event)
-            return out
-        key = event.key
-        record = state.state_map.get(key)
-        if record is None:
-            record = _Record(self.identity(), state.start_state)
-            state.state_map[key] = record
-        value = event.value
-        if isinstance(value, CombinedAgg):
-            record.agg = self.combine(record.agg, value.agg)
-            return []
-        self.on_item(record.state, key, value, state.emitter.emit)
-        record.agg = self.combine(record.agg, self.fold_in(key, value))
-        return list(state.emitter.drain())
-
     def handle_batch(self, state: _KeyedUnorderedState, events) -> List[Event]:
-        """Epoch kernel: fold each between-marker run key-by-key.
+        """The kernel: Table 3's item step per item, :meth:`seal` per
+        marker.
 
-        Items of one block are grouped per key first, so each distinct
-        key costs one ``state_map`` probe per block instead of one per
-        item, and the fold runs as a tight local loop.  Grouping is legal
-        because the ``U`` input type makes between-marker items mutually
-        independent (any fold order yields the same block aggregate —
-        the monoid is commutative).  ``on_item`` still fires once per
-        item against the same last-marker snapshot the serial path shows
-        it, so emitted output differs at most in within-block order.
+        Each item folds into its key's block aggregate (a key first seen
+        starts from ``startS``); a :class:`CombinedAgg` folds in with
+        ``combine`` directly.  ``on_item`` sees the key's last-marker
+        state; when it is the template default (the common,
+        pure-aggregation case) the kernel skips it.
         """
         out: List[Event] = []
         state_map = state.state_map
-        combine, fold_in = self.combine, self.fold_in
+        combine, fold_in, identity = self.combine, self.fold_in, self.identity
+        on_item = None
+        if type(self).on_item is not OpKeyedUnordered.on_item:
+            on_item = self.on_item
 
-        def emit(key, value, _append=out.append, _new=tuple.__new__):
-            _append(_new(KV, (key, value)))
+            def emit(key, value, _append=out.append, _new=tuple.__new__):
+                _append(_new(KV, (key, value)))
 
-        # Skip the per-item hook loop entirely when on_item is the
-        # template default (the common, pure-aggregation case).
-        on_item_active = type(self).on_item is not OpKeyedUnordered.on_item
-        i, n = 0, len(events)
-        while i < n:
-            event = events[i]
+        for event in events:
             if type(event) is Marker:
                 self.seal(state, event, out)
                 out.append(event)
-                i += 1
                 continue
-            j = i
-            while j < n and type(events[j]) is not Marker:
-                j += 1
-            groups: Dict[Any, List[Any]] = {}
-            setdefault = groups.setdefault
-            for key, value in events[i:j]:
-                setdefault(key, []).append(value)
-            i = j
-            for key, values in groups.items():
-                record = state_map.get(key)
-                if record is None:
-                    record = _Record(self.identity(), state.start_state)
-                    state_map[key] = record
-                agg = record.agg
-                if on_item_active:
-                    snapshot = record.state
-                    for value in values:
-                        if isinstance(value, CombinedAgg):
-                            agg = combine(agg, value.agg)
-                        else:
-                            self.on_item(snapshot, key, value, emit)
-                            agg = combine(agg, fold_in(key, value))
-                else:
-                    for value in values:
-                        if isinstance(value, CombinedAgg):
-                            agg = combine(agg, value.agg)
-                        else:
-                            agg = combine(agg, fold_in(key, value))
-                record.agg = agg
+            key, value = event
+            record = state_map.get(key)
+            if record is None:
+                record = state_map[key] = _Record(identity(), state.start_state)
+            if type(value) is CombinedAgg:
+                record.agg = combine(record.agg, value.agg)
+                continue
+            if on_item is not None:
+                on_item(record.state, key, value, emit)
+            record.agg = combine(record.agg, fold_in(key, value))
         return out

@@ -44,7 +44,7 @@ class MapPairsFn(StatelessFn):
 
     ``pair_fn(key, value)`` returns a single ``(key', value')`` pair.
     Semantically identical to ``StatelessFn(lambda k, v: [pair_fn(k, v)])``
-    but the batch kernel maps the block with one call per event — no
+    but its kernel maps the block with one call per event — no
     wrapper lambda, no one-element list per item.
     """
 
@@ -61,18 +61,13 @@ class MapPairsFn(StatelessFn):
             return super().handle_batch(state, events)
         fn = self._pair_fn
         out: List[Event] = []
+        append = out.append
         tuple_new = tuple.__new__
-        i, n = 0, len(events)
-        while i < n:
-            if type(events[i]) is Marker:
-                out.append(events[i])
-                i += 1
-                continue
-            j = i
-            while j < n and type(events[j]) is not Marker:
-                j += 1
-            out.extend([tuple_new(KV, fn(k, v)) for k, v in events[i:j]])
-            i = j
+        for event in events:
+            if type(event) is Marker:
+                append(event)
+            else:
+                append(tuple_new(KV, fn(event[0], event[1])))
         return out
 
 
@@ -122,9 +117,9 @@ class TableJoin(OpStateless):
             emit(out_key, out_value)
 
     def handle_batch(self, state, events) -> List[Event]:
-        # Batch kernel: call the lookup directly per event and append
-        # its pairs, skipping the on_item/emit dispatch layer.  Falls
-        # back to the generic kernel if a subclass customizes hooks.
+        # The kernel calls the lookup directly per event and appends its
+        # pairs, skipping the on_item/emit dispatch layer.  A subclass
+        # that customizes the hooks gets the generic OpStateless kernel.
         cls = type(self)
         if (
             cls.on_marker is not OpStateless.on_marker
@@ -133,20 +128,14 @@ class TableJoin(OpStateless):
             return super().handle_batch(state, events)
         lookup = self._lookup
         out: List[Event] = []
+        append = out.append
         tuple_new = tuple.__new__
-        i, n = 0, len(events)
-        while i < n:
-            if type(events[i]) is Marker:
-                out.append(events[i])
-                i += 1
-                continue
-            j = i
-            while j < n and type(events[j]) is not Marker:
-                j += 1
-            out.extend(
-                [tuple_new(KV, pair) for k, v in events[i:j] for pair in lookup(k, v)]
-            )
-            i = j
+        for event in events:
+            if type(event) is Marker:
+                append(event)
+            else:
+                for pair in lookup(event[0], event[1]):
+                    append(tuple_new(KV, pair))
         return out
 
 

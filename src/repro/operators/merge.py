@@ -62,56 +62,34 @@ class Merge:
 
     def handle(self, state: _MergeState, channel: int, event: Event) -> List[Event]:
         """Consume one event from ``channel``; return merged output events."""
-        if not 0 <= channel < self.n_inputs:
-            raise SimulationError(f"merge channel {channel} out of range")
-        out: List[Event] = []
-        if isinstance(event, Marker):
-            state.blocks_ahead[channel] += 1
-            state.marker_timestamps[channel].append(event.timestamp)
-            # Opening a buffered block for the segment after this marker.
-            state.pending[channel].append([])
-            self._drain_ready(state, out)
-            return out
-        if state.blocks_ahead[channel] == 0:
-            out.append(event)
-        else:
-            state.pending[channel][-1].append(event)
-        return out
+        return self.handle_batch(state, channel, [event])
 
     def handle_batch(
         self, state: _MergeState, channel: int, events: List[Event]
     ) -> List[Event]:
-        """Consume a block of events from ``channel`` at once.
+        """Consume a block of events from ``channel``; return merged
+        output events.
 
-        Runs of non-marker events either pass straight through (channel
-        inside the current output block) or append to the channel's open
-        buffered block in one ``extend``; marker alignment is identical
-        to the per-event path, so the emitted trace is the same blockwise
-        union whichever entry point delivered the events.
+        An item passes straight through while its channel is inside the
+        current output block, else it joins the channel's open buffered
+        block; a marker opens a new buffered block and emits every
+        output marker that all channels have now reached.  Alignment
+        does not depend on how the deliveries are blocked.
         """
         if not 0 <= channel < self.n_inputs:
             raise SimulationError(f"merge channel {channel} out of range")
         out: List[Event] = []
-        blocks_ahead = state.blocks_ahead
-        i, n = 0, len(events)
-        while i < n:
-            event = events[i]
-            if isinstance(event, Marker):
+        blocks_ahead, pending = state.blocks_ahead, state.pending[channel]
+        for event in events:
+            if type(event) is Marker:
                 blocks_ahead[channel] += 1
                 state.marker_timestamps[channel].append(event.timestamp)
-                state.pending[channel].append([])
+                pending.append([])
                 self._drain_ready(state, out)
-                i += 1
-                continue
-            j = i
-            while j < n and not isinstance(events[j], Marker):
-                j += 1
-            run = events[i:j]
-            if blocks_ahead[channel] == 0:
-                out.extend(run)
+            elif blocks_ahead[channel] == 0:
+                out.append(event)
             else:
-                state.pending[channel][-1].extend(run)
-            i = j
+                pending[-1].append(event)
         return out
 
     def snapshot_state(self, state: _MergeState) -> Any:

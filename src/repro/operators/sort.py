@@ -55,38 +55,21 @@ class SortOp(Operator):
     def restore_state(self, snapshot: Dict[Any, List[Any]]) -> Dict[Any, List[Any]]:
         return {key: list(buffered) for key, buffered in snapshot.items()}
 
-    def handle(self, state: Dict[Any, List[Any]], event: Event) -> List[Event]:
-        if isinstance(event, Marker):
-            out: List[Event] = []
-            self._flush(state, out)
-            out.append(event)
-            return out
-        state.setdefault(event.key, []).append(event)
-        return []
-
     def handle_batch(self, state: Dict[Any, List[Any]], events) -> List[Event]:
-        """Epoch kernel: bulk-append each between-marker run per key.
+        """The kernel: buffer each item under its key; at a marker, flush
+        every key's buffer in canonical order, then forward the marker.
 
         Buffering is insertion-order independent (the flush sorts), so
-        grouping a whole block costs one dict probe per distinct key;
-        the marker flush is byte-identical to the serial path's.
+        any blocking of the input gives byte-identical output.
         """
         out: List[Event] = []
         setdefault = state.setdefault
-        i, n = 0, len(events)
-        while i < n:
-            event = events[i]
+        for event in events:
             if type(event) is Marker:
                 self._flush(state, out)
                 out.append(event)
-                i += 1
-                continue
-            j = i
-            while j < n and type(events[j]) is not Marker:
-                j += 1
-            for ev in events[i:j]:
-                setdefault(ev[0], []).append(ev)
-            i = j
+            else:
+                setdefault(event[0], []).append(event)
         return out
 
     def _flush(self, state: Dict[Any, List[Any]], out: List[Event]) -> None:

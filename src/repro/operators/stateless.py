@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from repro.operators.base import KV, Emitter, Event, Marker, Operator
+from repro.operators.base import KV, Event, Marker, Operator
 
 
 class OpStateless(Operator):
@@ -27,10 +27,6 @@ class OpStateless(Operator):
     input_kind = "U"
     output_kind = "U"
 
-    def initial_state(self) -> Emitter:
-        # The only "state" is a reusable emitter buffer.
-        return Emitter()
-
     def on_item(self, key: Any, value: Any, emit: Callable[[Any, Any], None]) -> None:
         """Process one key-value pair; emit any number of output pairs."""
         raise NotImplementedError
@@ -39,28 +35,10 @@ class OpStateless(Operator):
         """Process one marker (output only; the marker itself is forwarded
         automatically)."""
 
-    def snapshot_state(self, state: Emitter) -> Any:
-        # The emitter buffer is always drained between invocations, so a
-        # stateless operator has nothing to checkpoint.
-        return None
-
-    def restore_state(self, snapshot: Any) -> Emitter:
-        return self.initial_state()
-
-    def handle(self, state: Emitter, event: Event) -> List[Event]:
-        if isinstance(event, Marker):
-            self.on_marker(event, state.emit)
-            out: List[Event] = list(state.drain())
-            out.append(event)
-            return out
-        self.on_item(event.key, event.value, state.emit)
-        return list(state.drain())
-
-    def handle_batch(self, state: Emitter, events) -> List[Event]:
-        # Batch kernel: map the whole block in one tight loop, emitting
-        # straight into the output list (no per-event drain/alloc).  The
-        # output sequence is identical to the serial path's, so this is
-        # safe for any input kind.
+    def handle_batch(self, state: None, events) -> List[Event]:
+        # The kernel maps the block in one loop, emitting straight into
+        # the output list; output order is input order, so this is safe
+        # for any input kind.
         out: List[Event] = []
 
         def emit(key, value, _append=out.append, _new=tuple.__new__):
@@ -68,7 +46,7 @@ class OpStateless(Operator):
 
         on_item = self.on_item
         for event in events:
-            if isinstance(event, Marker):
+            if type(event) is Marker:
                 self.on_marker(event, emit)
                 out.append(event)
             else:
@@ -96,12 +74,12 @@ class StatelessFn(OpStateless):
         for out_key, out_value in result:
             emit(out_key, out_value)
 
-    def handle_batch(self, state: Emitter, events) -> List[Event]:
+    def handle_batch(self, state: None, events) -> List[Event]:
         # The adapter's shape is fully known (a pure pair-list function,
-        # no marker hook), so the batch kernel can call the function
-        # directly and skip the on_item/emit dispatch per event.  A
-        # subclass that overrides on_marker or on_item falls back to the
-        # generic OpStateless kernel.
+        # no marker hook), so the kernel calls the function directly and
+        # skips the on_item/emit dispatch per event.  A subclass that
+        # overrides on_marker or on_item gets the generic OpStateless
+        # kernel.
         cls = type(self)
         if (
             cls.on_marker is not OpStateless.on_marker

@@ -246,6 +246,28 @@ def load_fault_plan(path: str) -> FaultPlan:
     return FaultPlan.from_dict(data)
 
 
+def check_fault_plan(plan: FaultPlan, topology, machine_ids) -> None:
+    """Reject a plan naming a task, machine or edge the run does not have.
+
+    ``machine_ids`` holds the cluster's machine ids.  Raises
+    :class:`~repro.errors.SimulationError` naming the first unknown one.
+    """
+    components = topology.components
+    for crash in plan.crashes:
+        spec = components.get(crash.component)
+        if spec is None or crash.task not in range(spec.parallelism):
+            raise SimulationError(
+                f"fault plan names unknown task {(crash.component, crash.task)}"
+            )
+    for fault in plan.machine_faults:
+        if fault.machine not in machine_ids:
+            raise SimulationError(f"fault plan names unknown machine {fault.machine}")
+    edges = {(src, spec.name) for spec in components.values() for src in spec.inputs}
+    unknown = set(plan.edges) - edges
+    if unknown:
+        raise SimulationError(f"fault plan names unknown edges {sorted(unknown)}")
+
+
 def demo_plan(topology, seed: int = 0) -> FaultPlan:
     """A representative plan for a topology: crash the first processing
     bolt's task 0 mid-run, plus mild drop/duplicate/reorder everywhere.

@@ -30,10 +30,11 @@ not byte-equal, which would be both unattainable and unnecessary.
 :class:`FaultCoordinator` runs all of this (and fault injection) for
 the simulator.
 
-This module also hosts the in-process twin: :func:`run_with_recovery`
-drives a :class:`~repro.compiler.inprocess.InProcessPipeline` (serial or
-batched) epoch-by-epoch with ``snapshot()`` / ``restore()`` around
-injected crashes and optional link faults on the ingest streams.
+This module also hosts the in-process twin: :func:`drive_epochs` is the
+one epoch loop of an :class:`~repro.compiler.inprocess.InProcessPipeline`
+(serial or batched), and :func:`run_with_recovery` runs it with
+``snapshot()`` / ``restore()`` around injected crashes and optional link
+faults on the ingest streams.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError, TaskFailureError
 from repro.operators.base import Marker
-from repro.storm.faults import EdgeFaults, FaultPlan, apply_edge_faults, recover_stream
+from repro.storm.faults import (
+    EdgeFaults, FaultPlan, apply_edge_faults, check_fault_plan, recover_stream,
+)
 from repro.storm.topology import CaptureBolt
 
 
@@ -186,33 +189,23 @@ class FaultCoordinator:
         self.topology, self.tasks, self.core_free = topology, tasks, core_free
         self.heap, self.tick, self.probe = heap, tick, probe
         self.task_failure, self.report = task_failure, report
+        check_fault_plan(plan, topology, core_free)
         for crash in plan.crashes:
             key = (crash.component, crash.task)
-            if key not in tasks:
-                raise SimulationError(f"fault plan names unknown task {key}")
             if crash.after_executions is not None:
                 bisect.insort(tasks[key].crash_after, crash.after_executions)
             else:
                 self.push(crash.at_time, CRASH, tasks[key], None)
         for fault in plan.machine_faults:
-            if fault.machine not in core_free:
-                raise SimulationError(
-                    f"fault plan names unknown machine {fault.machine}"
-                )
             self.push(fault.at_time, MACHINE_FAULT, None, fault)
         self.routes = []
-        edges = set()
         for runtime in tasks.values():
             src = runtime.component
             for out, (dst, _) in zip(runtime.routes, topology.downstream_of(src)):
-                edges.add((src, dst))
                 edge = plan.edge_faults(src, dst)
                 if edge is not None and edge.active():
                     out.edge = edge
                 self.routes.append(out)
-        unknown = set(plan.edges) - edges
-        if unknown:
-            raise SimulationError(f"fault plan names unknown edges {sorted(unknown)}")
         # Epoch timestamps are indexed in marker order as spouts first
         # emit them (under recovery only); a snapshot epoch is complete
         # once every task has contributed its state at that boundary.
@@ -439,6 +432,60 @@ def split_epochs(events: Sequence[Any]) -> List[List[Any]]:
     return blocks
 
 
+def drive_epochs(pipe, blocks: Dict[str, List[List[Any]]], *,
+                 checkpoint_every: int = 0,
+                 crash_epochs: Sequence[int] = (),
+                 crash_fraction: float = 0.5,
+                 stats: Optional[RecoveryStats] = None) -> None:
+    """Push each source's epoch blocks through ``pipe`` in rounds of one
+    block per source; a source drops out of the rotation once its blocks
+    run out.
+
+    The one epoch loop of the in-process backend.  With
+    ``checkpoint_every`` set, the pipeline is snapshotted initially and
+    after every ``checkpoint_every``-th epoch; at each epoch index in
+    ``crash_epochs`` it then "crashes" after ``crash_fraction`` of the
+    epoch's events, is restored from the last checkpoint, and replays
+    from there.  Checkpoints, recoveries and replayed events are counted
+    into ``stats``.
+    """
+    stats = stats if stats is not None else RecoveryStats()
+    n_epochs = max((len(b) for b in blocks.values()), default=0)
+    pending_crashes = sorted(set(crash_epochs))
+    checkpoint, ck_epoch = None, -1
+    if checkpoint_every:
+        checkpoint = pipe.snapshot()  # epoch -1: the initial state
+        stats.checkpoints_taken += 1
+    furthest = -1  # highest epoch index ever fully pushed
+    epoch = 0
+    while epoch < n_epochs:
+        crash = bool(pending_crashes) and pending_crashes[0] == epoch
+        for name, source_blocks in blocks.items():
+            if epoch < len(source_blocks):
+                block = source_blocks[epoch]
+                if crash:
+                    # The prefix is thrown away with the rollback and
+                    # delivered again when this epoch re-runs.
+                    block = block[: int(len(block) * crash_fraction)]
+                if crash or epoch <= furthest:
+                    stats.replayed_events += len(block)
+                pipe.push_block(name, block)
+        if crash:
+            pending_crashes.pop(0)
+            pipe.restore(checkpoint)
+            stats.recoveries += 1
+            stats.last_restored_epoch = ck_epoch
+            epoch = ck_epoch + 1
+            continue
+        furthest = max(furthest, epoch)
+        if checkpoint_every and (epoch + 1) % checkpoint_every == 0:
+            checkpoint = pipe.snapshot()
+            ck_epoch = epoch
+            stats.checkpoints_taken += 1
+            stats.complete_epochs = epoch + 1
+        epoch += 1
+
+
 @dataclass
 class RecoveredRun:
     """Result of :func:`run_with_recovery`."""
@@ -506,42 +553,8 @@ def run_with_recovery(dag, source_events: Dict[str, Sequence[Any]], *,
             )
 
     pipe = compile_inprocess(dag, batched=batched)
-    pending_crashes = sorted(set(crash_epochs))
-    checkpoint = pipe.snapshot()  # epoch -1: the initial state
-    ck_epoch = -1
-    stats.checkpoints_taken += 1
-    furthest = -1  # highest epoch index ever fully pushed
-
-    epoch = 0
-    while epoch < n_epochs:
-        if pending_crashes and pending_crashes[0] == epoch:
-            pending_crashes.pop(0)
-            for name, source_blocks in blocks.items():
-                if epoch < len(source_blocks):
-                    block = source_blocks[epoch]
-                    prefix = block[: int(len(block) * crash_fraction)]
-                    pipe.push_block(name, prefix)
-                    # The prefix is thrown away with the rollback and
-                    # delivered again when this epoch re-runs.
-                    stats.replayed_events += len(prefix)
-            pipe.restore(checkpoint)
-            stats.recoveries += 1
-            stats.last_restored_epoch = ck_epoch
-            epoch = ck_epoch + 1
-            continue
-        for name, source_blocks in blocks.items():
-            if epoch < len(source_blocks):
-                block = source_blocks[epoch]
-                if epoch <= furthest:
-                    stats.replayed_events += len(block)
-                pipe.push_block(name, block)
-        furthest = max(furthest, epoch)
-        if (epoch + 1) % checkpoint_every == 0:
-            checkpoint = pipe.snapshot()
-            ck_epoch = epoch
-            stats.checkpoints_taken += 1
-            stats.complete_epochs = epoch + 1
-        epoch += 1
-
+    drive_epochs(pipe, blocks, checkpoint_every=checkpoint_every,
+                 crash_epochs=crash_epochs, crash_fraction=crash_fraction,
+                 stats=stats)
     outputs = {name: pipe.outputs(name) for name in pipe.sink_names()}
     return RecoveredRun(outputs=outputs, stats=stats, pipeline=pipe)

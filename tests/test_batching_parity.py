@@ -9,7 +9,9 @@ workload their *canonical* output traces must coincide with the serial
 paths'.  Three layers are checked here:
 
 - **kernels** — random streams through each Table 1 template, fed
-  per-event vs. in randomly chunked batches;
+  per-event vs. in randomly chunked batches, and the keyed templates'
+  one kernel against the per-event runtimes it replaced (kept below as
+  oracles);
 - **combiners** — a pre-folded :class:`CombinedAgg` per key per block
   must be indistinguishable from the raw items, and
   :func:`plan_combiners` must license exactly the edges where that is
@@ -31,11 +33,13 @@ from repro.apps.iot.sensors import SensorWorkload
 from repro.compiler import compile_dag
 from repro.compiler.compile import CompilerOptions, source_from_events
 from repro.dag import TransductionDAG, evaluate_dag
-from repro.operators.base import KV, Marker
+from repro.errors import TraceTypeError
+from repro.operators.base import KV, Marker, Operator
 from repro.operators.keyed_ordered import OpKeyedOrdered
-from repro.operators.keyed_unordered import CombinedAgg, OpKeyedUnordered
+from repro.operators.keyed_unordered import CombinedAgg, OpKeyedUnordered, _Record
 from repro.operators.library import (
     MaxOfAvgPerKey,
+    SlidingAggregate,
     TumblingAggregate,
     filter_items,
     map_values,
@@ -121,6 +125,121 @@ def count_with_echo():
     )
 
 
+class CumulativeSumWithReset(CumulativeSum):
+    """Covers the keyed-ordered marker hook (the default one is skipped)."""
+
+    def on_marker(self, state, key, m, emit):
+        emit(key, ("reset", state))
+        return 0
+
+
+class BlockCounter(OpKeyedUnordered):
+    """Counts the markers each key has survived, so a key first seen
+    late reports Table 3's advanced ``startS``."""
+
+    def fold_in(self, key, value):
+        return value
+
+    def identity(self):
+        return 0
+
+    def combine(self, x, y):
+        return x + y
+
+    def init(self):
+        return (0, 0)
+
+    def update_state(self, old_state, agg):
+        return (old_state[0] + 1, old_state[1] + agg)
+
+    def on_marker(self, new_state, key, m, emit):
+        emit(key, new_state)
+
+
+class KeyedUnorderedOracle:
+    """Table 3 event by event: ``OpKeyedUnordered.handle`` and its
+    marker loop as they stood before the template kept one kernel.
+
+    Runs a template instance's hooks.  ``SlidingAggregate`` replaces the
+    marker loop with its fused step (checked against a left fold in
+    ``test_sliding_kernel.py``), so for it the oracle calls ``seal``.
+    """
+
+    def __init__(self, op):
+        self.op = op
+
+    def initial_state(self):
+        return self.op.initial_state()
+
+    def handle(self, state, event):
+        op = self.op
+        out = []
+
+        def emit(key, value):
+            out.append(KV(key, value))
+
+        if isinstance(event, Marker):
+            if isinstance(op, SlidingAggregate):
+                op.seal(state, event, out)
+            else:
+                for key, record in state.state_map.items():
+                    record.state = op.update_state(record.state, record.agg)
+                    record.agg = op.identity()
+                    op.on_marker(record.state, key, event, emit)
+                state.start_state = op.update_state(state.start_state, op.identity())
+            out.append(event)
+            return out
+        key = event.key
+        record = state.state_map.get(key)
+        if record is None:
+            record = _Record(op.identity(), state.start_state)
+            state.state_map[key] = record
+        value = event.value
+        if isinstance(value, CombinedAgg):
+            record.agg = op.combine(record.agg, value.agg)
+            return out
+        op.on_item(record.state, key, value, emit)
+        record.agg = op.combine(record.agg, op.fold_in(key, value))
+        return out
+
+
+class KeyedOrderedOracle:
+    """``OpKeyedOrdered.handle`` as it stood before the template kept
+    one kernel: per-key states, a key-guarded emit per callback."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def initial_state(self):
+        return {}
+
+    def handle(self, per_key, event):
+        op = self.op
+        out = []
+
+        def guarded(key):
+            def emit(k, v):
+                if k != key:
+                    raise TraceTypeError(
+                        "OpKeyedOrdered must preserve the input key: "
+                        f"got emit({k!r}, ...) while processing key {key!r}"
+                    )
+                out.append(KV(k, v))
+
+            return emit
+
+        if isinstance(event, Marker):
+            for key in list(per_key):
+                per_key[key] = op.on_marker(per_key[key], key, event, guarded(key))
+            out.append(event)
+            return out
+        key = event.key
+        if key not in per_key:
+            per_key[key] = op.init()
+        per_key[key] = op.on_item(per_key[key], key, event.value, guarded(key))
+        return out
+
+
 KERNEL_CASES = [
     ("map", lambda: map_values(lambda v: v + 1, name="inc"), False),
     ("filter", lambda: filter_items(lambda k, v: v % 3 != 0, name="f3"), False),
@@ -163,6 +282,98 @@ class TestKernelParity:
             assert events_to_trace(whole, ordered) == events_to_trace(
                 serial, ordered
             )
+
+
+ORACLE_CASES = [
+    ("tumbling-count", tumbling_count, KeyedUnorderedOracle, False),
+    ("sliding-count", lambda: sliding_count(2), KeyedUnorderedOracle, False),
+    ("max-of-avg", MaxOfAvgPerKey, KeyedUnorderedOracle, False),
+    ("count-with-echo", count_with_echo, KeyedUnorderedOracle, False),
+    ("block-counter", BlockCounter, KeyedUnorderedOracle, False),
+    ("cumsum", CumulativeSum, KeyedOrderedOracle, True),
+    ("cumsum-reset", CumulativeSumWithReset, KeyedOrderedOracle, True),
+]
+
+
+class StartStateFrozen(BlockCounter):
+    """Kernel mutant: the marker step drops Table 3's ``startS``
+    advance, so a key first seen late starts from ``initialState``."""
+
+    def seal(self, state, m, out):
+        start = state.start_state
+        super().seal(state, m, out)
+        state.start_state = start
+
+
+def oracle_divergence(factory, oracle, ordered, seed):
+    """Where the kernel departs from the oracle on one random stream:
+    ``None``, ``"serial"`` (one-event blocks, compared event for event)
+    or ``"batched"`` (random chunks, compared canonically)."""
+    stream = random_stream(seed)
+    expected = run_serial(oracle(factory()), stream)
+    if run_serial(factory(), stream) != expected:
+        return "serial"
+    batched = run_batched(factory(), stream, chunk_seed=seed * 17 + 3)
+    if events_to_trace(batched, ordered) != events_to_trace(expected, ordered):
+        return "batched"
+    return None
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize(
+        "name, factory, oracle, ordered", ORACLE_CASES,
+        ids=[c[0] for c in ORACLE_CASES],
+    )
+    def test_kernel_matches_per_event_runtime(self, name, factory, oracle, ordered):
+        for seed in range(6):
+            assert oracle_divergence(factory, oracle, ordered, seed) is None, (
+                f"{name}: kernel diverged from the per-event oracle on seed {seed}"
+            )
+
+    def test_oracle_catches_dropped_start_state_advance(self):
+        diverged = [
+            oracle_divergence(StartStateFrozen, KeyedUnorderedOracle, False, seed)
+            for seed in range(6)
+        ]
+        assert "serial" in diverged
+
+    def test_marker_hook_key_guard_matches_oracle(self):
+        class RekeyAtMarker(CumulativeSum):
+            def on_marker(self, state, key, m, emit):
+                emit(key + "!", state)
+                return state
+
+        for op in (KeyedOrderedOracle(RekeyAtMarker()), RekeyAtMarker()):
+            state = op.initial_state()
+            assert op.handle(state, KV("a", 1)) == [KV("a", 1)]
+            with pytest.raises(TraceTypeError, match="processing key 'a'"):
+                op.handle(state, Marker(1))
+
+
+class TestOneKernel:
+    def test_operator_without_a_kernel_raises(self):
+        class Bare(Operator):
+            pass
+
+        op = Bare()
+        with pytest.raises(NotImplementedError, match="must override handle_batch"):
+            op.handle(None, KV("a", 1))
+        with pytest.raises(NotImplementedError, match="must override handle_batch"):
+            op.handle_batch(None, [KV("a", 1), Marker(1)])
+
+    def test_per_event_operator_runs_through_base_kernel(self):
+        class Doubler(Operator):
+            def handle(self, state, event):
+                if isinstance(event, Marker):
+                    return [event]
+                return [KV(event.key, 2 * event.value)]
+
+        stream = random_stream(4)
+        expected = [
+            e if isinstance(e, Marker) else KV(e.key, 2 * e.value) for e in stream
+        ]
+        assert run_batched(Doubler(), stream, 9) == expected
+        assert Doubler().run(stream) == expected
 
 
 class TestMergeKernelParity:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConsistencyError
 from repro.dag import TransductionDAG
 from repro.dag.semantics import check_dag_invariance
-from repro.operators.base import Emitter, Event, KV, Marker, Operator
+from repro.operators.base import KV, Marker, Operator
 from repro.operators.library import map_values, sliding_count, tumbling_count
 from repro.operators.sort import SortOp
 from repro.traces.trace_type import unordered_type

@@ -4,7 +4,7 @@ only indirectly."""
 import pytest
 
 from repro.errors import ConsistencyError, TraceTypeError
-from repro.operators.base import Emitter, KV, Marker, is_marker_event
+from repro.operators.base import KV, Marker, is_marker_event
 from repro.storm.tuples import StormTuple
 from repro.traces.items import Item, is_marker, kv_item, marker
 from repro.traces.tags import MARKER, Tag
@@ -36,25 +36,6 @@ class TestItems:
         assert repr(kv_item("a", 1)) == "(a,1)"
         assert repr(KV("a", 1)) == "KV('a', 1)"
         assert repr(Marker(3)) == "Marker(3)"
-
-
-class TestEmitter:
-    def test_collects_and_drains(self):
-        emitter = Emitter()
-        emitter.emit("k", 1)
-        emitter.emit("k", 2)
-        assert emitter.drain() == [KV("k", 1), KV("k", 2)]
-        assert emitter.drain() == []
-
-    def test_key_guard(self):
-        def guard(key):
-            if key != "only":
-                raise TraceTypeError("bad key")
-
-        emitter = Emitter(key_guard=guard)
-        emitter.emit("only", 1)
-        with pytest.raises(TraceTypeError):
-            emitter.emit("other", 1)
 
 
 class TestStormTuple:

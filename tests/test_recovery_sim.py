@@ -245,6 +245,36 @@ class TestFailureContext:
                 recovery=RecoveryOptions(max_recoveries=5))
 
 
+class TestSimCliPlanCheck:
+    """``repro sim --faults`` checks the plan against the run before the
+    fault-free baseline, and refuses a bad one with one line, exit 2."""
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"machine_faults": [{"machine": 99, "at_time": 0.001}]},
+         "fault plan names unknown machine 99"),
+        ({"crashes": [{"component": "NOPE", "after_executions": 1}]},
+         "fault plan names unknown task ('NOPE', 0)"),
+        ({"edges": [{"src": "NOPE", "dst": "X", "drop": 0.5}]},
+         "fault plan names unknown edges [('NOPE', 'X')]"),
+    ])
+    def test_bad_plan_rejected_before_any_run(self, tmp_path, monkeypatch,
+                                              capsys, plan, message):
+        import json
+
+        from repro.cli import main
+
+        def no_run(self):
+            raise AssertionError("a simulation ran before the plan check")
+
+        monkeypatch.setattr(Simulator, "run", no_run)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(plan))
+        assert main(["sim", "iot", "--faults", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 class TestMonitorIntegration:
     """Satellite: recovery replay must not trip false violations."""
 
