@@ -18,9 +18,10 @@ possible at all.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.yahoo.events import AdEvent
+from repro.compiler.compile import source_from_events
 from repro.compiler.glue import AlignedCaptureBolt
 from repro.db import Derby
 from repro.ml import KMeans
@@ -288,20 +289,9 @@ class HandClusterBolt(_HandBolt):
 # ----------------------------------------------------------------------
 
 
-def _spout(events, parallelism: int) -> IteratorSpout:
+def _spout(events) -> IteratorSpout:
     """Round-robin data partitioning; every task emits all markers."""
-
-    def make_iterator(task_index: int, n_tasks: int) -> Iterator[Event]:
-        data_seen = 0
-        for event in events:
-            if isinstance(event, Marker):
-                yield event
-            else:
-                if data_seen % n_tasks == task_index:
-                    yield event
-                data_seen += 1
-
-    return IteratorSpout(make_iterator)
+    return IteratorSpout(source_from_events(events).make_iterator)
 
 
 def _two_stage(
@@ -317,7 +307,7 @@ def _two_stage(
     stage2_mode: str = "fields",
 ) -> Tuple[Topology, AlignedCaptureBolt]:
     builder = TopologyBuilder(name)
-    builder.set_spout("events", _spout(events, spout_parallelism), spout_parallelism)
+    builder.set_spout("events", _spout(events), spout_parallelism)
     builder.set_bolt(stage1_name, stage1(spout_parallelism), stage1_parallelism).grouping(
         "events", HandRolledGrouping("shuffle")
     )
@@ -382,7 +372,7 @@ def handcrafted_query5(db: Derby, events, parallelism: int = 1, spouts: int = 1)
 def handcrafted_query6(db: Derby, events, parallelism: int = 1, spouts: int = 1, k: int = 3):
     """Query VI, hand-written (three stages)."""
     builder = TopologyBuilder("hand-q6")
-    builder.set_spout("events", _spout(events, spouts), spouts)
+    builder.set_spout("events", _spout(events), spouts)
     builder.set_bolt("Locate", HandLocateBolt(db, True, spouts), parallelism).grouping(
         "events", HandRolledGrouping("shuffle")
     )

@@ -14,7 +14,7 @@
 4. each chain becomes one bolt wrapped in a
    :class:`~repro.compiler.glue.CompiledBolt`; connections get
    marker-aware groupings chosen from the chain-head operator:
-   round-robin (or sender-affinity) for stateless heads, key hash for
+   round-robin for stateless heads, key hash for
    keyed/sorting heads, single-task for sinks.
 
 Sinks compile to :class:`~repro.compiler.glue.AlignedCaptureBolt`
@@ -45,13 +45,9 @@ class CompilerOptions:
     """Compilation switches.
 
     ``fusion`` — fuse chains into single bolts (disable for the ablation).
-    ``stateless_policy`` — routing into stateless chain heads: ``"rr"``
-    (even balancing) or ``"affinity"`` (sticky senders, minimizing
-    cross-machine traffic; the optimization noted for Query I).
     """
 
     fusion: bool = True
-    stateless_policy: str = "rr"
 
 
 @dataclass
@@ -177,7 +173,7 @@ def compile_dag(
             name=name,
         )
         declarer = builder.set_bolt(name, bolt, head.parallelism)
-        policy = _routing_policy(head.payload, options)
+        policy = _routing_policy(head.payload)
         for upstream in upstream_components:
             declarer.grouping(upstream, MarkerAwareGrouping(policy))
 
@@ -299,11 +295,11 @@ def _needs_hash(operator: Operator) -> bool:
     return isinstance(operator, (SortOp, OpKeyedOrdered, OpKeyedUnordered))
 
 
-def _routing_policy(operator: Operator, options: CompilerOptions) -> str:
+def _routing_policy(operator: Operator) -> str:
     if _needs_hash(operator):
         return "hash"
     if isinstance(operator, OpStateless):
-        return options.stateless_policy
+        return "rr"
     # Kind-polymorphic (identity-like): hash is always sound.
     return "hash"
 

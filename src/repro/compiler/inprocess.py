@@ -9,10 +9,13 @@ events, suitable for embedding the computation in another program (or
 another engine's operator slot).
 
 The compilation reuses the DAG's topological structure directly: every
-vertex becomes a node holding its operator state; blocks of events are
-pushed through edges with one iterative FIFO worklist of
-``(edge_id, block)`` entries (no recursion, so deep chains and high-fan-out
-DAGs cannot hit the interpreter's recursion limit).
+non-source vertex becomes one node, bound once at construction, that
+holds its merge (an explicit ``MRG`` vertex, or the implicit merge of a
+multi-input operator), its operator, its sink list and its out-targets
+as ``(node, port)`` pairs.  Blocks of events move through the nodes on
+one iterative FIFO worklist of ``(node, port, block)`` entries: no dict
+lookup or vertex-kind test per hop, and no recursion, so deep chains and
+high-fan-out DAGs cannot hit the interpreter's recursion limit.
 
 Execution granularity is a choice of block size, not a second routing
 path or a second kernel.  Every vertex consumes its whole input block
@@ -51,6 +54,19 @@ from repro.operators.merge import Merge
 from repro.storm.recovery import drive_epochs, split_epochs
 
 
+class _Node:
+    """One non-source vertex: its merge (an ``MRG`` payload or a multi-
+    input operator's implicit merge), operator and sink output list, each
+    ``None`` where it has none, and its out-edges' ``(node, port)`` targets."""
+
+    __slots__ = ("merge", "merge_state", "op", "state", "sink", "targets")
+
+    def __init__(self, merge, op, sink, targets):
+        self.merge, self.op, self.sink, self.targets = merge, op, sink, targets
+        self.merge_state = merge.initial_state() if merge is not None else None
+        self.state = op.initial_state() if op is not None else None
+
+
 class InProcessPipeline:
     """A compiled single-process executor for a transduction DAG.
 
@@ -65,39 +81,36 @@ class InProcessPipeline:
 
     def __init__(self, dag: TransductionDAG, batched: bool = False):
         typecheck_dag(dag)
-        self._dag = dag
         self._batched = batched
-        self._op_state: Dict[int, Any] = {}
-        # Explicit MERGE vertices and the implicit merge frontends of
-        # multi-input OP vertices, keyed by vertex id.
-        self._merges: Dict[int, Merge] = {}
-        self._merge_state: Dict[int, Any] = {}
-        # Out-edge ids per vertex, resolved once: the worklist's routes.
-        self._routes: Dict[int, List[int]] = {}
         self._outputs: Dict[str, List[Event]] = {
             sink.name: [] for sink in dag.sinks()
         }
-        self._source_edges: Dict[str, int] = {}
-        for vertex in dag.topological_order():
-            vertex_id = vertex.vertex_id
-            self._routes[vertex_id] = [e.edge_id for e in dag.out_edges(vertex)]
-            if vertex.kind == VertexKind.SOURCE:
-                (edge_id,) = self._routes[vertex_id]
-                self._source_edges[vertex.name] = edge_id
-            elif vertex.kind == VertexKind.OP:
-                self._op_state[vertex_id] = vertex.payload.initial_state()
-                ins = dag.in_edges(vertex)
-                if len(ins) > 1:
-                    self._merges[vertex_id] = Merge(len(ins))
-            elif vertex.kind == VertexKind.MERGE:
-                self._merges[vertex_id] = vertex.payload
-            elif vertex.kind == VertexKind.SPLIT:
+        # Built downstream-first, so every out-edge's node already exists.
+        self._nodes: List[_Node] = []
+        self._sources: Dict[str, Tuple[_Node, int]] = {}
+        node_of: Dict[int, _Node] = {}
+        for vertex in reversed(dag.topological_order()):
+            targets = [(node_of[e.dst], e.dst_port) for e in dag.out_edges(vertex)]
+            kind = vertex.kind
+            if kind == VertexKind.SOURCE:
+                (self._sources[vertex.name],) = targets
+                continue
+            if kind == VertexKind.SPLIT:
                 raise CompilationError(
                     "the in-process backend compiles logical DAGs; express "
                     "parallelism with hints (they are ignored here)"
                 )
-        for vertex_id, merge in self._merges.items():
-            self._merge_state[vertex_id] = merge.initial_state()
+            merge = op = sink = None
+            if kind == VertexKind.MERGE:
+                merge = vertex.payload
+            elif kind == VertexKind.SINK:
+                sink = self._outputs[vertex.name]
+            else:
+                op = vertex.payload
+                n_inputs = len(dag.in_edges(vertex))
+                merge = Merge(n_inputs) if n_inputs > 1 else None
+            node = node_of[vertex.vertex_id] = _Node(merge, op, sink, targets)
+            self._nodes.append(node)
 
     # ------------------------------------------------------------------
 
@@ -121,24 +134,20 @@ class InProcessPipeline:
     # -- fault tolerance (see repro.storm.recovery) --------------------
 
     def snapshot(self) -> Any:
-        """Checkpoint the whole pipeline: every vertex state plus the
-        sink output lengths.
+        """Checkpoint the whole pipeline: every node's operator and merge
+        state plus the sink output lengths.
 
-        Meaningful at epoch boundaries — after pushing whole marker-
-        terminated blocks through every source — where the DAG is fully
-        drained (the push worklist runs to completion), so there is no
-        in-flight data to capture.
+        Taken between pushes, when the push worklist has run to
+        completion, so there is no in-flight data to capture; a merge
+        whose channels are epochs apart keeps its buffered blocks in its
+        state.
         """
-        vertices = self._dag.vertices
         return {
-            "ops": {
-                vertex_id: vertices[vertex_id].payload.snapshot_state(state)
-                for vertex_id, state in self._op_state.items()
-            },
-            "merges": {
-                vertex_id: self._merges[vertex_id].snapshot_state(state)
-                for vertex_id, state in self._merge_state.items()
-            },
+            "nodes": [
+                (node.op and node.op.snapshot_state(node.state),
+                 node.merge and node.merge.snapshot_state(node.merge_state))
+                for node in self._nodes
+            ],
             "outputs": {
                 name: len(events) for name, events in self._outputs.items()
             },
@@ -150,15 +159,11 @@ class InProcessPipeline:
         The snapshot survives intact, so it can be restored again after
         another failure.
         """
-        vertices = self._dag.vertices
-        for vertex_id, snap in snapshot["ops"].items():
-            self._op_state[vertex_id] = (
-                vertices[vertex_id].payload.restore_state(snap)
-            )
-        for vertex_id, snap in snapshot["merges"].items():
-            self._merge_state[vertex_id] = (
-                self._merges[vertex_id].restore_state(snap)
-            )
+        for node, (op_snap, merge_snap) in zip(self._nodes, snapshot["nodes"]):
+            if node.op:
+                node.state = node.op.restore_state(op_snap)
+            if node.merge:
+                node.merge_state = node.merge.restore_state(merge_snap)
         for name, length in snapshot["outputs"].items():
             del self._outputs[name][length:]
 
@@ -186,50 +191,43 @@ class InProcessPipeline:
 
     # ------------------------------------------------------------------
 
-    def _resolve_source(self, source: str) -> int:
+    def _resolve_source(self, source: str) -> Tuple[_Node, int]:
         try:
-            return self._source_edges[source]
+            return self._sources[source]
         except KeyError:
             raise CompilationError(f"unknown source {source!r}")
 
-    def _drain(self, edge_id: int, block: List[Event], batched: bool) -> None:
+    def _drain(
+        self, target: Tuple[_Node, int], block: List[Event], batched: bool
+    ) -> None:
         """Move a block through the DAG with one FIFO worklist.
 
-        Entries are ``(edge_id, block)``; each vertex consumes its whole
+        Entries are ``(node, port, block)``; each node consumes its whole
         block and forwards one output block per out-edge.  ``batched``
-        picks how its kernel is fed: the whole block at once, or one
-        one-event block per event, with the kernel bound once.
+        picks how its kernels are fed: the whole block at once, or one
+        one-event block per event.  A kernel is looked up on its merge
+        or operator at each hop, never cached, so a wrapper installed on
+        the instance after compilation is the one called.
         """
-        edges = self._dag.edges
-        vertices = self._dag.vertices
-        merges = self._merges
-        routes = self._routes
-        work: Deque[Tuple[int, List[Event]]] = deque()
-        work.append((edge_id, block))
+        work: Deque[Tuple[_Node, int, List[Event]]] = deque([(*target, block)])
         while work:
-            edge_id, block = work.popleft()
+            node, port, block = work.popleft()
             if not block:
                 continue
-            edge = edges[edge_id]
-            vertex = vertices[edge.dst]
-            if vertex.kind == VertexKind.SINK:
-                self._outputs[vertex.name].extend(block)
+            if node.sink is not None:
+                node.sink.extend(block)
                 continue
-            vertex_id = vertex.vertex_id
-            merge = merges.get(vertex_id)
-            if merge is not None:
-                merge_state, port = self._merge_state[vertex_id], edge.dst_port
-                merge_batch = merge.handle_batch
+            if node.merge is not None:
+                kernel, state = node.merge.handle_batch, node.merge_state
                 if batched:
-                    block = merge_batch(merge_state, port, block)
+                    block = kernel(state, port, block)
                 else:
                     aligned: List[Event] = []
                     for event in block:
-                        aligned.extend(merge_batch(merge_state, port, [event]))
+                        aligned.extend(kernel(state, port, [event]))
                     block = aligned
-            if vertex.kind == VertexKind.OP and block:
-                state = self._op_state[vertex_id]
-                kernel = vertex.payload.handle_batch
+            if node.op is not None and block:
+                kernel, state = node.op.handle_batch, node.state
                 if batched:
                     block = kernel(state, block)
                 else:
@@ -237,8 +235,8 @@ class InProcessPipeline:
                     for event in block:
                         outputs.extend(kernel(state, [event]))
                     block = outputs
-            for out_id in routes[vertex_id]:
-                work.append((out_id, block))
+            for target_node, target_port in node.targets:
+                work.append((target_node, target_port, block))
 
 
 def compile_inprocess(

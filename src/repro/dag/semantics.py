@@ -141,25 +141,10 @@ def check_dag_invariance(
     import random as _random
 
     from repro.errors import ConsistencyError
-    from repro.operators.base import KV, Marker
+    from repro.operators.sampling import shuffle_within_blocks
 
     ordered_sinks = ordered_sinks or {}
     rng = _random.Random(seed)
-
-    def shuffle_stream(events):
-        result, block = [], []
-        for event in events:
-            if isinstance(event, Marker):
-                rng.shuffle(block)
-                result.extend(block)
-                result.append(event)
-                block = []
-            else:
-                block.append(event)
-        rng.shuffle(block)
-        result.extend(block)
-        return result
-
     base = evaluate_dag(dag, source_events)
     sink_names = list(base.sink_events)
     baseline = {
@@ -168,7 +153,7 @@ def check_dag_invariance(
     }
     for _ in range(shuffles):
         variant_inputs = {
-            name: shuffle_stream(events)
+            name: shuffle_within_blocks(events, rng)
             for name, events in source_events.items()
         }
         result = evaluate_dag(dag, variant_inputs)

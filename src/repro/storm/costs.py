@@ -98,9 +98,6 @@ class PerComponentCostModel(CostModel):
         self._costs = dict(costs or {})
         self._default = default
 
-    def set_cost(self, component: str, cost: Any) -> None:
-        self._costs[component] = cost
-
     def cpu_cost(self, component: str, event: Event, task_index: int = 0) -> float:
         cost = self._costs.get(component, self._default)
         if callable(cost):

@@ -77,21 +77,16 @@ class MarkerAwareGrouping(Grouping):
 
     - ``"hash"`` — route ``KV`` by key hash (the ``HASH`` splitter);
     - ``"rr"`` — route ``KV`` round-robin (the ``RR`` splitter);
-    - ``"global"`` — route all ``KV`` to task 0 (the ``UNQ`` splitter);
-    - ``"affinity"`` — like ``rr`` but sticky per emitting task: each
-      sender keeps a stable preferred target, minimizing cross-machine
-      traffic (the load-routing optimization credited for Query I's
-      slight edge over hand-written Storm in Section 6).
+    - ``"global"`` — route all ``KV`` to task 0 (the ``UNQ`` splitter).
     """
 
     def __init__(self, policy: str = "hash",
                  key_hash: Optional[Callable[[Any], int]] = None):
-        if policy not in ("hash", "rr", "global", "affinity"):
+        if policy not in ("hash", "rr", "global"):
             raise ValueError(f"unknown marker-aware policy {policy!r}")
         self.policy = policy
         self._key_hash = key_hash or default_key_hash
         self._rr_next = 0
-        self._affinity: Optional[int] = None
 
     def select(self, event: Event, n_tasks: int) -> List[int]:
         if isinstance(event, Marker):
@@ -102,10 +97,6 @@ class MarkerAwareGrouping(Grouping):
             target = self._rr_next
             self._rr_next = (target + 1) % n_tasks
             return [target]
-        if self.policy == "affinity":
-            if self._affinity is None:
-                self._affinity = self._rng.randrange(n_tasks)
-            return [self._affinity]
         return [0]  # "global"
 
     def describe(self) -> str:

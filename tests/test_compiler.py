@@ -112,17 +112,6 @@ class TestGroupings:
         assert isinstance(grouping, MarkerAwareGrouping)
         assert grouping.policy == "hash"
 
-    def test_stateless_head_policy_configurable(self):
-        dag = figure5_like_dag()
-        compiled = compile_dag(
-            dag,
-            {"src": source_from_events(EVENTS)},
-            CompilerOptions(stateless_policy="affinity"),
-        )
-        spec = compiled.topology.components["Pre"]
-        (grouping,) = spec.inputs.values()
-        assert grouping.policy == "affinity"
-
     def test_sink_gets_global(self):
         compiled = compile_dag(
             figure5_like_dag(), {"src": source_from_events(EVENTS)}

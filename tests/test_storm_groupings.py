@@ -53,7 +53,7 @@ class TestBuiltins:
 
 class TestMarkerAware:
     def test_markers_always_broadcast(self):
-        for policy in ("hash", "rr", "global", "affinity"):
+        for policy in ("hash", "rr", "global"):
             g = bound(MarkerAwareGrouping(policy))
             assert g.select(Marker(1), 3) == [0, 1, 2]
 
@@ -69,12 +69,6 @@ class TestMarkerAware:
     def test_global_policy(self):
         g = bound(MarkerAwareGrouping("global"))
         assert g.select(KV("a", 1), 4) == [0]
-
-    def test_affinity_policy_sticky(self):
-        g = bound(MarkerAwareGrouping("affinity"), seed=3)
-        first = g.select(KV("a", 1), 4)
-        for i in range(10):
-            assert g.select(KV("b", i), 4) == first
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
