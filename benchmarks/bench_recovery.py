@@ -17,7 +17,6 @@ checkpointed-but-fault-free, and faulted-with-recovery — and reports:
 from __future__ import annotations
 
 import gc
-import statistics
 import time
 
 from repro.apps.smarthomes import (
@@ -26,7 +25,7 @@ from repro.apps.smarthomes import (
     train_predictor,
 )
 from repro.bench import MarkerTriggerCost, fused_cost_model
-from repro.bench.reporting import emit_bench_json
+from repro.bench.reporting import emit_bench_json, quartiles
 from repro.compiler import compile_dag
 from repro.compiler.compile import source_from_events
 from repro.storm import Cluster, Simulator
@@ -131,7 +130,8 @@ def test_recovery_overhead(benchmark):
         )
         checkpointed = min(checkpointed, ck_i)
         ratios.append(ck_i / plain_i)
-    overhead = statistics.median(ratios) - 1.0
+    q1_ratio, median_ratio, q3_ratio = quartiles(ratios)
+    overhead = median_ratio - 1.0
 
     # Scheduling parity: with no faults injected the fault RNG is never
     # drawn and every link stays on the plain delivery path, so the
@@ -155,7 +155,8 @@ def test_recovery_overhead(benchmark):
           f"{MACHINES} machines, min of {ROUNDS} runs):")
     print(f"  plain                : {plain * 1e3:8.1f} ms")
     print(f"  checkpointed, 0 fail : {checkpointed * 1e3:8.1f} ms "
-          f"({100 * overhead:+.1f}%)")
+          f"({100 * overhead:+.1f}%, pair quartiles "
+          f"{100 * (q1_ratio - 1):+.1f}% to {100 * (q3_ratio - 1):+.1f}%)")
     print(f"  faulted + recovered  : {faulted * 1e3:8.1f} ms "
           f"(recoveries={stats.recoveries}, "
           f"replayed={stats.replayed_events})")

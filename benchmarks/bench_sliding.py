@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import statistics
 import time
 
 from repro.apps.yahoo.events import YahooWorkload
 from repro.apps.yahoo.queries import query4_multi_source
-from repro.bench.reporting import emit_bench_json
+from repro.bench.reporting import emit_bench_json, quartiles
 from repro.compiler.inprocess import compile_inprocess
 from repro.storm.recovery import split_epochs
 
@@ -63,7 +62,7 @@ def run_pass(workload, epochs, batched):
 
 
 def summary(seconds, n_events):
-    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    q1, median, q3 = quartiles(seconds)
     return {
         "seconds": [round(s, 5) for s in seconds],
         "median_s": round(median, 5),

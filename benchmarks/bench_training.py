@@ -16,11 +16,10 @@ and the quartiles (spread, not a best-of-N minimum).
 from __future__ import annotations
 
 import gc
-import statistics
 import time
 
 from repro.apps.smarthomes import predictor_digest, train_predictor
-from repro.bench.reporting import emit_bench_json
+from repro.bench.reporting import emit_bench_json, quartiles
 
 #: The perfbench ``fig6-inproc`` training configuration (seed 101).
 CONFIG = dict(horizon=120, train_seconds=800, past=60, seed=101)
@@ -39,7 +38,7 @@ def test_training_fig6_setup():
         digests.add(predictor_digest(models))
     # Training is seeded: every repeat must grow the same trees.
     assert len(digests) == 1, digests
-    q1, median, q3 = statistics.quantiles(seconds, n=4)
+    q1, median, q3 = quartiles(seconds)
     print()
     print(f"train_predictor({CONFIG}): median {median * 1e3:.1f} ms "
           f"(quartiles {q1 * 1e3:.1f}-{q3 * 1e3:.1f} ms, {REPEATS} repeats)")

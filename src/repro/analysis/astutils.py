@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 # Template families.
 STATELESS = "stateless"
@@ -360,9 +360,3 @@ def container_kind(expr: ast.AST) -> Optional[str]:
         if name == "list":
             return "list"
     return None
-
-
-def walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            yield node

@@ -21,6 +21,7 @@ from repro.bench.reporting import (
     format_comparison_table,
     format_scaling_table,
     point_summary,
+    quartiles,
 )
 
 __all__ = [
@@ -35,4 +36,5 @@ __all__ = [
     "curve_summary",
     "point_summary",
     "emit_bench_json",
+    "quartiles",
 ]

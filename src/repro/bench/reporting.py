@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import ScalingPoint
 from repro.obs.metrics import percentile
@@ -128,6 +129,16 @@ def curve_summary(
 ) -> List[Dict[str, Any]]:
     """A whole throughput-vs-machines curve as point summaries."""
     return [point_summary(point, sinks) for point in points]
+
+
+def quartiles(samples: Sequence[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)`` of repeated measurements: the median every
+    benchmark reports and the spread beside it (``statistics.quantiles``'
+    default method, whose middle cut is the median)."""
+    if len(samples) == 1:
+        return samples[0], samples[0], samples[0]
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return q1, median, q3
 
 
 def bench_output_dir() -> Path:

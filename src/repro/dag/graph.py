@@ -218,12 +218,6 @@ class TransductionDAG:
             if v.kind in (VertexKind.OP, VertexKind.MERGE, VertexKind.SPLIT)
         ]
 
-    def upstream_vertex(self, edge: Edge) -> Vertex:
-        return self.vertices[edge.src]
-
-    def downstream_vertex(self, edge: Edge) -> Vertex:
-        return self.vertices[edge.dst]
-
     def topological_order(self) -> List[Vertex]:
         """Vertices in a topological order; raises on cycles."""
         indegree = {vid: 0 for vid in self.vertices}

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.errors import DagError
 from repro.operators.base import Event
 from repro.operators.merge import Merge
-from repro.dag.graph import Edge, TransductionDAG, Vertex, VertexKind
+from repro.dag.graph import TransductionDAG, Vertex, VertexKind
 from repro.traces.blocks import BlockTrace
 
 
@@ -40,10 +40,6 @@ class EvaluationResult:
     def sink_trace(self, sink_name: str, ordered: bool) -> BlockTrace:
         """The canonical trace delivered to a sink."""
         return BlockTrace.from_events(ordered, self.sink_events[sink_name])
-
-    def edge_trace(self, edge: Edge, ordered: bool) -> BlockTrace:
-        """The canonical trace labelling an edge."""
-        return BlockTrace.from_events(ordered, self.edge_events[edge.edge_id])
 
 
 def _interleave_round_robin(channels: List[List[Event]]) -> List[Any]:

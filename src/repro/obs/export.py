@@ -158,12 +158,6 @@ def write_prometheus(path: str, metrics: Any, monitors: Any = None,
         fh.write(prometheus_text(metrics, monitors, namespace))
 
 
-def write_telemetry(path: str, monitors: Any) -> None:
-    """JSONL telemetry for a hub (thin alias kept beside the Prometheus
-    writer so the CLI imports one exporter module)."""
-    monitors.write_telemetry_jsonl(path)
-
-
 def render_watch_line(row: dict) -> Optional[str]:
     """One compact dashboard line for a telemetry row (``repro obs watch``)."""
     if row.get("type") == "recovery":

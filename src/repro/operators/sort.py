@@ -8,18 +8,39 @@ immediately before an order-sensitive stage restores the per-key view
 (the ``Sort-LI`` idea of Section 2 and the SORT stages of Figures 1/5).
 
 Implementation: buffer each key's items of the current block; on a
-marker, flush every key's buffer in sorted order, then forward the
+marker, flush every key's buffer in canonical order, then forward the
 marker.  The output is well-defined as an ``O(K, V)`` trace because the
-flushed order depends only on the block's *bag* of items (ties broken by
-the stable sort on the full sort key).
+flushed order depends only on the block's *bag* of items.  Items with
+equal sort keys need *some* such tie order; it is the values' own order:
+
+- each key's buffer is sorted once on ``(sort_key(v), v)`` with the
+  natural comparison, and accepted if the result is a strict chain
+  under ``<``, allowing adjacent pairs whose values have identical
+  ``repr`` (exact duplicates, which emit the same bytes in either
+  order);
+- otherwise — a comparison raised (``str`` against ``int``), or two
+  adjacent values are equal but not identical (``1``/``1.0``/``True``,
+  ``0.0``/``-0.0``) or incomparable (NaN, sets ordered by inclusion) —
+  that key's block falls back to sorting on ``(sort_key(v), repr(v))``.
+
+Assumptions: ``<`` on the sort keys is a total order (the ``<`` of
+``SORT<``), and ``<`` on ``(sort_key, value)`` pairs is a strict partial
+order that raises ``TypeError`` where it is undefined and under which
+values with identical ``repr`` compare alike; all of this holds for the
+built-in types.  Under them a strict chain is the only arrangement of
+its bag, so either path gives a function of the bag.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import compress, islice
+from operator import itemgetter, lt, not_
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.operators.base import Event, KV, Marker, Operator
+from repro.operators.base import Event, Marker, Operator
+
+_first = itemgetter(0)
+_second = itemgetter(1)
 
 
 class SortOp(Operator):
@@ -30,9 +51,10 @@ class SortOp(Operator):
     sort_key:
         ``value -> comparable``; defaults to the identity (sort by the
         values themselves).  For timestamped values pass e.g.
-        ``lambda v: v.ts``; to guarantee a canonical order under
-        duplicate sort keys the full value is appended as a ``repr``
-        tiebreak.
+        ``lambda v: v.ts``.  Items with equal sort keys come out in the
+        values' natural order where that is a strict chain, and in
+        ``repr`` order of the values otherwise (see the module
+        docstring).
     """
 
     name = "SORT"
@@ -63,68 +85,62 @@ class SortOp(Operator):
         any blocking of the input gives byte-identical output.
         """
         out: List[Event] = []
-        setdefault = state.setdefault
+        buffer_of = state.get
         for event in events:
             if type(event) is Marker:
                 self._flush(state, out)
                 out.append(event)
             else:
-                setdefault(event[0], []).append(event)
+                buffered = buffer_of(event[0])
+                if buffered is None:
+                    state[event[0]] = [event]
+                else:
+                    buffered.append(event)
         return out
 
     def _flush(self, state: Dict[Any, List[Any]], out: List[Event]) -> None:
-        """Emit every key's buffered block in canonical sorted order.
+        """Emit every key's buffered block in canonical order.
 
         The buffers hold the original (immutable) ``KV`` events, which
         are re-emitted as-is — ``SORT`` preserves every pair, so no new
-        event objects are needed.  Sorting is two-phase: a stable sort
-        on the declared sort key of each event's value, then a ``repr``
-        tiebreak applied only to runs of equal sort keys.  The result is
-        exactly a sort by ``(sort_key(v), repr(v))``, but the
-        (expensive) ``repr`` is computed only for actual ties instead of
-        for every value.
+        event objects are needed.
         """
         sort_key = self.sort_key
         for key in sorted(state, key=repr):
             buffered = state[key]
             if len(buffered) > 1:
-                decorated = [(sort_key(ev[1]), ev) for ev in buffered]
-                decorated.sort(key=_primary)
-                buffered = _resolve_ties(decorated)
+                buffered = _canonical_order(buffered, sort_key)
             out.extend(buffered)
         state.clear()
 
-    def _cmp(self, value: Any):
-        """The canonical comparison key (kept for reference/tests; the
-        flush computes the same order lazily via :func:`_resolve_ties`)."""
-        return (self.sort_key(value), repr(value))
+
+def _canonical_order(buffered: List[Any], sort_key: Callable[[Any], Any]) -> List[Any]:
+    """One key's buffered events, sorted by ``(sort_key(v), v)`` if that
+    is a strict chain up to exact duplicates, else by
+    ``(sort_key(v), repr(v))``.
+
+    The events of one buffer have equal keys, so comparing
+    ``(sort_key(v), event)`` pairs compares ``(sort_key(v), v)``.
+    """
+    ranked = list(zip(map(sort_key, map(_second, buffered)), buffered))
+    try:
+        ranked.sort()
+        if all(map(lt, ranked, islice(ranked, 1, None))) or _ties_are_duplicates(ranked):
+            return list(map(_second, ranked))
+    except TypeError:
+        # Incomparable values.  A failed sort leaves ``ranked`` permuted,
+        # which the repr order below does not depend on.
+        pass
+    by_repr = [((primary, repr(event[1])), event) for primary, event in ranked]
+    by_repr.sort(key=_first)
+    return list(map(_second, by_repr))
 
 
-#: Sort key selecting the decorated pair's sort-key slot (C-level;
-#: ``list.sort`` calls it once per element).
-_primary = itemgetter(0)
-
-
-def _value_repr(event) -> str:
-    """Tiebreak key: ``repr`` of the event's value slot."""
-    return repr(event[1])
-
-
-def _resolve_ties(decorated: List[Any]) -> List[Any]:
-    """Undecorate a ``(sort_key, event)`` list sorted by sort key,
-    canonicalizing runs of equal sort keys by ``repr`` of the value."""
-    result: List[Any] = []
-    i, n = 0, len(decorated)
-    while i < n:
-        primary = decorated[i][0]
-        j = i + 1
-        while j < n and decorated[j][0] == primary:
-            j += 1
-        if j - i == 1:
-            result.append(decorated[i][1])
-        else:
-            run = [event for _, event in decorated[i:j]]
-            run.sort(key=_value_repr)
-            result.extend(run)
-        i = j
-    return result
+def _ties_are_duplicates(ranked: List[Any]) -> bool:
+    """Whether every adjacent pair of ``ranked`` that is not strictly
+    increasing holds two values with identical ``repr``."""
+    not_increasing = map(not_, map(lt, ranked, islice(ranked, 1, None)))
+    return all(
+        repr(ranked[i][1][1]) == repr(ranked[i + 1][1][1])
+        for i in compress(range(len(ranked) - 1), not_increasing)
+    )

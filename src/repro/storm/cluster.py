@@ -48,9 +48,6 @@ class Cluster:
     def n_machines(self) -> int:
         return len(self.machines)
 
-    def total_cores(self) -> int:
-        return sum(m.cores for m in self.machines)
-
 
 TaskId = Tuple[str, int]  # (component name, task index)
 
@@ -71,9 +68,6 @@ class Placement:
             raise SimulationError(
                 f"task {component}[{task_index}] has no machine assignment"
             )
-
-    def tasks_on(self, machine_id: int) -> List[TaskId]:
-        return [t for t, m in self._assignment.items() if m == machine_id]
 
     def items(self):
         return self._assignment.items()

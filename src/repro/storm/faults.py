@@ -186,14 +186,6 @@ class FaultPlan:
         faults = self.edges.get((src, dst))
         return faults if faults is not None else self.default_edge
 
-    def any_faults(self) -> bool:
-        return bool(
-            self.crashes
-            or self.machine_faults
-            or any(f.active() for f in self.edges.values())
-            or (self.default_edge is not None and self.default_edge.active())
-        )
-
     # -- JSON round-trip -----------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -230,11 +222,6 @@ class FaultPlan:
             default_edge=None if default is None else EdgeFaults.from_dict(default),
             seed=data.get("seed", 0),
         )
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def load_fault_plan(path: str) -> FaultPlan:

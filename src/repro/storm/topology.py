@@ -224,20 +224,10 @@ class _BoltDeclarer:
     def shuffle_grouping(self, upstream: str) -> "_BoltDeclarer":
         return self.grouping(upstream, ShuffleGrouping())
 
-    def fields_grouping(self, upstream: str, key_fn=None) -> "_BoltDeclarer":
-        from repro.storm.groupings import FieldsGrouping
-
-        return self.grouping(upstream, FieldsGrouping(key_fn))
-
     def global_grouping(self, upstream: str) -> "_BoltDeclarer":
         from repro.storm.groupings import GlobalGrouping
 
         return self.grouping(upstream, GlobalGrouping())
-
-    def broadcast_grouping(self, upstream: str) -> "_BoltDeclarer":
-        from repro.storm.groupings import BroadcastGrouping
-
-        return self.grouping(upstream, BroadcastGrouping())
 
     def grouping(self, upstream: str, grouping: Grouping) -> "_BoltDeclarer":
         if upstream in self._spec.inputs:

@@ -45,9 +45,6 @@ class Block:
         else:
             self._bag[(key, value)] += 1
 
-    def is_empty(self) -> bool:
-        return not self._bag and not self._seqs
-
     def canonical(self):
         """A hashable canonical view of the block's contents."""
         if self.ordered:

@@ -100,24 +100,6 @@ class DataTraceType:
             return None
         return "O" if self.ordered_per_key else "U"
 
-    def monitor_spec(self) -> dict:
-        """What an online monitor must check on an edge of this type.
-
-        Consumed by :class:`repro.obs.monitor.EdgeMonitor`: the
-        dependence relation determines which runtime invariants are
-        falsifiable from a single interleaving — per-key order only
-        exists when same-key items are self-dependent (``O``), while
-        marker well-formedness applies to any marker-bearing type.
-        """
-        kind = self.stream_kind()
-        return {
-            "kind": kind,
-            "check_per_key_order": kind == "O",
-            "check_markers": self.is_marker_type(),
-            "keyed": self.keyed,
-            "type_name": self.name,
-        }
-
     def compatible_with(self, other: "DataTraceType") -> bool:
         """Loose structural compatibility used by the DAG type checker.
 

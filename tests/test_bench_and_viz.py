@@ -1,6 +1,8 @@
 """The experiment harness (cost models, sweeps, reporting) and the
 visualization/CLI utilities."""
 
+import statistics
+
 import pytest
 
 from repro.bench.harness import (
@@ -17,6 +19,7 @@ from repro.bench.harness import (
 from repro.bench.reporting import (
     format_comparison_table,
     format_scaling_table,
+    quartiles,
     ratios,
     scaling_factor,
 )
@@ -138,6 +141,15 @@ class TestReporting:
         gen = [ScalingPoint(1, 1_200_000.0, 1.0, None)]
         table = format_comparison_table("cmp", hand, gen)
         assert "1.200" in table and "1.200" in table.splitlines()[-1]
+
+    @pytest.mark.parametrize("samples", [[3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0], [5.0] * 9])
+    def test_quartiles_middle_cut_is_the_median(self, samples):
+        q1, median, q3 = quartiles(samples)
+        assert median == statistics.median(samples)
+        assert min(samples) <= q1 <= median <= q3 <= max(samples)
+
+    def test_quartiles_of_one_sample(self):
+        assert quartiles([0.25]) == (0.25, 0.25, 0.25)
 
 
 class TestViz:
