@@ -26,7 +26,6 @@ The compiler fuses this into the Figure 5 deployment:
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -165,6 +164,20 @@ class PredictOp(OpKeyedOrdered):
 
     Keeps the past minute of per-second averages; once the window is
     warm, each new second emits ``(ts, predicted next-horizon sum)``.
+
+    Per key the state is two parallel deques, ``(timestamps, loads)``:
+    the key's earlier samples, oldest first, less those evicted.
+    ``on_item`` evicts every entry with timestamp ``< ts - past``, is
+    warm once ``past // 2`` entries remain, takes ``sum(loads)``
+    *before* appending the new sample, and appends last.  The
+    past-minute sum thus adds exactly the samples with timestamps in
+    ``[ts - past, ts)``, oldest first, through the builtin ``sum``: on a
+    dense series the same floats in the same order as
+    ``make_features``' ``sum(loads[i - past : i])``, so the model sees
+    bit-identical features online and in training, on every Python
+    version (3.12's compensated ``sum`` included).  A running sum would
+    make the floats depend on the additions and evictions that led up
+    to them.
     """
 
     name = "Predict"
@@ -174,32 +187,29 @@ class PredictOp(OpKeyedOrdered):
         self._past = past
 
     def init(self):
-        return deque()
+        return deque(), deque()
 
     def copy_state(self, state):
-        # A deque of immutable (ts, load) tuples.
-        return deque(state)  # repro: ignore[DT402] -- elements are immutable tuples
+        # Two deques of scalars (timestamps, loads).
+        timestamps, loads = state
+        return deque(timestamps), deque(loads)
 
     def on_item(self, state, key, value, emit):
         avg_load, ts = value
-        window = state
-        window.append((ts, avg_load))
-        while window and window[0][0] < ts - self._past:
-            window.popleft()
-        if len(window) > self._past // 2:
-            # Per key the input timestamps strictly increase (the ``O``
-            # input comes from Avg, which emits one strictly newer second
-            # at a time), so "all entries with t < ts" is exactly the
-            # window minus the entry just appended.
-            past_sum = sum(map(_load_of, islice(window, len(window) - 1)))
+        timestamps, loads = state
+        cutoff = ts - self._past
+        while timestamps and timestamps[0] < cutoff:
+            timestamps.popleft()
+            loads.popleft()
+        if len(timestamps) >= self._past // 2:
+            past_sum = sum(loads)
             model = self._models.get(key)
             if model is not None:
                 prediction = model.predict([float(ts % 86400), avg_load, past_sum])
                 emit(key, (ts, round(prediction, 3)))
-        return window
-
-
-_load_of = itemgetter(1)
+        timestamps.append(ts)
+        loads.append(avg_load)
+        return state
 
 
 def map_to_device_type() -> Any:

@@ -4,8 +4,9 @@ The fault-tolerance layer (``repro.storm.recovery``) checkpoints
 operator state with ``Operator.snapshot_state`` and rebuilds it with
 ``Operator.restore_state``.  Recovery is only exactly-once if a restored
 operator is *observationally identical* to the live one — so for every
-operator in :mod:`repro.operators.library` (plus ``SortOp`` and
-``Merge``) we run a randomized prefix, snapshot, and then require:
+operator in :mod:`repro.operators.library` (plus ``SortOp``, ``Merge``
+and the Figure 5 keyed-ordered stages LI, Avg and Predict) we run a
+randomized prefix, snapshot, and then require:
 
 - **identity** — the live continuation and a restored continuation
   produce exactly the same outputs on the same suffix;
@@ -22,6 +23,11 @@ import random
 
 import pytest
 
+from repro.apps.smarthomes.pipeline import (
+    AveragePerSecondOp,
+    LinearInterpolationOp,
+    PredictOp,
+)
 from repro.operators.base import KV, Marker
 from repro.operators.library import (
     KeyedSequenceOp,
@@ -68,6 +74,35 @@ def sessions_stream(rng, n_blocks=4, per_block=6):
     return events
 
 
+def loads_stream(rng, n_blocks=4, per_block=10, min_step=1):
+    """Per-key timestamp-ordered ``(load, ts)`` values; with
+    ``min_step=0`` a key may repeat its previous timestamp."""
+    clocks = {key: 0 for key in KEYS}
+    events = []
+    for block in range(1, n_blocks + 1):
+        for _ in range(rng.randrange(per_block + 1)):
+            key = rng.choice(KEYS)
+            clocks[key] += rng.randrange(min_step, 4)
+            events.append(KV(key, (rng.uniform(0.0, 100.0), clocks[key])))
+        events.append(Marker(max(clocks.values()) + block * 10))
+    return events
+
+
+def plug_stream(rng):
+    """The interpolation stage's ``(load, ts, dtype)`` values, repeated
+    timestamps included."""
+    return [
+        KV(e.key, e.value + ("ac",)) if isinstance(e, KV) else e
+        for e in loads_stream(rng, min_step=0)
+    ]
+
+
+class StubModel:
+    def predict(self, features):
+        time_of_day, load, past_sum = features
+        return 0.5 * load + 0.25 * past_sum
+
+
 OPERATORS = [
     ("map_values", lambda: map_values(lambda v: v + 1), plain_stream),
     ("map_pairs", lambda: map_pairs(lambda k, v: (k, v * 2)), plain_stream),
@@ -98,6 +133,12 @@ OPERATORS = [
     ("keyed_seq",
      lambda: KeyedSequenceOp(
          lambda: 0, lambda s, v: (s + v, [s + v])), plain_stream),
+    ("interpolate", LinearInterpolationOp, plug_stream),
+    ("avg_per_second", AveragePerSecondOp,
+     lambda rng: loads_stream(rng, min_step=0)),
+    ("predict",
+     lambda: PredictOp({key: StubModel() for key in "abc"}, past=4),
+     loads_stream),
 ]
 
 
@@ -135,15 +176,9 @@ def test_snapshot_restore_roundtrip(make_op, make_stream, seed):
     )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_snapshot_is_independent_of_live_state(seed):
+def assert_snapshot_independent(op, events, cut):
     """Post-snapshot live progress must not leak into the checkpoint."""
-    rng = random.Random(seed)
-    events = plain_stream(rng)
-    cut = rng.randrange(len(events) + 1)
     prefix, suffix = events[:cut], events[cut:]
-
-    op = tumbling_count()
     live = op.initial_state()
     run_stream(op, live, prefix)
     snapshot = op.snapshot_state(live)
@@ -151,6 +186,30 @@ def test_snapshot_is_independent_of_live_state(seed):
 
     run_stream(op, live, suffix)  # mutate the live state further
     assert run_stream(op, op.restore_state(snapshot), suffix) == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_snapshot_is_independent_of_live_state(seed):
+    rng = random.Random(seed)
+    events = plain_stream(rng)
+    assert_snapshot_independent(
+        tumbling_count(), events, rng.randrange(len(events) + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_op,make_stream",
+    [pytest.param(make, stream, id=name) for name, make, stream in OPERATORS],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_snapshot_is_independent_of_live_state(make_op, make_stream, seed):
+    """The same check for every operator above: a checkpoint shares no
+    mutable piece of a key's state with the live operator."""
+    rng = random.Random(seed)
+    events = make_stream(rng)
+    assert_snapshot_independent(
+        make_op(), events, rng.randrange(len(events) + 1)
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
